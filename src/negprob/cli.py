@@ -47,16 +47,14 @@ from .errors import (
 )
 from .measure import Context, SignedMeasure, build_space, cylinder, signed_conditional
 from .scenarios import (
+    BUILTIN_NAMES,
     ScenarioBundle,
-    bell_box,
-    leggett_garg_chain,
-    mach_zehnder_case,
-    mz_counterfactual,
-    mz_counterfactual_detuned,
-    tsirelson_box,
+    builtin_bundle,
+    builtin_spec,
 )
 from .solver import (
     ConstraintSystem,
+    SolveResult,
     SolveStatus,
     assemble,
     feasible_proper,
@@ -71,30 +69,37 @@ def parse_rational(text: object) -> Fraction:
         raise ScenarioFormatError(
             f"expected a rational string like \"1/2\" or \"-3\", got {text!r}"
         )
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ValueError as exc:  # integer literals past the int digit limit
+        raise ScenarioFormatError(
+            f"rational of {len(text.strip())} characters not read: {exc}"
+        ) from exc
 
 
 def _parse_sign(value: object, where: str) -> int:
-    if isinstance(value, bool) or value not in (1, -1):
+    if type(value) is not int or value not in (1, -1):
         raise ScenarioFormatError(
             f"{where}: assignment values must be 1 or -1, got {value!r}"
         )
     return int(value)
 
 
+def _names(value: object, what: str) -> list[str]:
+    if (
+        not isinstance(value, list)
+        or not value
+        or not all(isinstance(v, str) for v in value)
+    ):
+        raise ScenarioFormatError(f"{what} must be a nonempty list of names")
+    return value
+
+
 def _context_from_data(entry: object, index: int) -> Context:
     where = f"contexts[{index}]"
     if not isinstance(entry, dict):
         raise ScenarioFormatError(f"{where} must be an object")
-    variables = entry.get("variables")
-    if (
-        not isinstance(variables, list)
-        or not variables
-        or not all(isinstance(v, str) for v in variables)
-    ):
-        raise ScenarioFormatError(
-            f"{where}.variables must be a nonempty list of names"
-        )
+    variables = _names(entry.get("variables"), f"{where}.variables")
     distribution = entry.get("distribution")
     if not isinstance(distribution, dict):
         raise ScenarioFormatError(f"{where}.distribution must be an object")
@@ -122,15 +127,7 @@ def scenario_from_data(data: object, label: str) -> ScenarioBundle:
     """Validate a decoded scenario document and build its bundle."""
     if not isinstance(data, dict):
         raise ScenarioFormatError("scenario document must be a JSON object")
-    variables = data.get("variables")
-    if (
-        not isinstance(variables, list)
-        or not variables
-        or not all(isinstance(v, str) for v in variables)
-    ):
-        raise ScenarioFormatError(
-            "\"variables\" must be a nonempty list of names"
-        )
+    variables = _names(data.get("variables"), "\"variables\"")
     present = [k for k in ("contexts", "constraints", "builtin") if k in data]
     if len(present) != 1:
         raise ScenarioFormatError(
@@ -146,7 +143,7 @@ def scenario_from_data(data: object, label: str) -> ScenarioBundle:
             _context_from_data(entry, i) for i, entry in enumerate(entries)
         )
         family = ContextFamily(tuple(variables), contexts)
-        return ScenarioBundle("contexts", family, label)
+        return ScenarioBundle(family, label)
     if kind == "constraints":
         entries = data["constraints"]
         if not isinstance(entries, list):
@@ -169,7 +166,7 @@ def scenario_from_data(data: object, label: str) -> ScenarioBundle:
                 for name, sign in event.items()
             }
             rows.append((partial, parse_rational(entry["value"])))
-        return ScenarioBundle("constraints", assemble(space, rows), label)
+        return ScenarioBundle(assemble(space, rows), label)
     entry = data["builtin"]
     if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
         raise ScenarioFormatError("\"builtin\" must be {\"name\": ..., ...}")
@@ -186,15 +183,12 @@ def family_to_scenario(family: ContextFamily) -> dict:
     """Serialize a context family to the scenario-file structure."""
     contexts = []
     for context in family.contexts:
-        distribution = {}
-        for atom, mass in enumerate(context.distribution):
-            if mass == 0:
-                continue
-            key = "".join(
-                "+" if atom >> k & 1 else "-"
-                for k in range(len(context.variables))
-            )
-            distribution[key] = str(mass)
+        label = build_space(context.variables).atom_label
+        distribution = {
+            label(atom): str(mass)
+            for atom, mass in enumerate(context.distribution)
+            if mass != 0
+        }
         contexts.append(
             {
                 "variables": list(context.variables),
@@ -204,82 +198,13 @@ def family_to_scenario(family: ContextFamily) -> dict:
     return {"variables": list(family.global_variables), "contexts": contexts}
 
 
-# --- built-in scenarios ---------------------------------------------------
-
-_BUILTIN_PARAMS: dict[str, tuple[tuple[str, ...], dict[str, Fraction]]] = {
-    "mz-counterfactual": ((), {}),
-    "mz-detuned": (("eps",), {"eps": Fraction(1, 100)}),
-    "pr-box": (
-        ("e_ab", "e_ab2", "e_a2b", "e_a2b2"),
-        {
-            "e_ab": Fraction(1),
-            "e_ab2": Fraction(1),
-            "e_a2b": Fraction(1),
-            "e_a2b2": Fraction(-1),
-        },
-    ),
-    "tsirelson": ((), {}),
-    "lg-chain": (
-        ("e_xy", "e_yz", "e_xz"),
-        {
-            "e_xy": Fraction(1),
-            "e_yz": Fraction(1),
-            "e_xz": Fraction(-1),
-        },
-    ),
-}
-for _n in range(1, 9):
-    _BUILTIN_PARAMS[f"mz-case-{_n}"] = ((), {})
-
-BUILTIN_NAMES = tuple(sorted(_BUILTIN_PARAMS))
-
-
-def builtin_bundle(
-    name: str, params: Mapping[str, Fraction]
-) -> ScenarioBundle:
-    """Materialize a built-in scenario by name."""
-    if name not in _BUILTIN_PARAMS:
-        raise ScenarioFormatError(
-            f"unknown builtin {name!r}; known: {', '.join(BUILTIN_NAMES)}"
-        )
-    names, defaults = _BUILTIN_PARAMS[name]
-    unknown = set(params) - set(names)
-    if unknown:
-        raise ScenarioFormatError(
-            f"builtin {name!r} takes parameters {names or '()'}, "
-            f"got {sorted(unknown)}"
-        )
-    values = dict(defaults)
-    values.update(params)
-    if name.startswith("mz-case-"):
-        case = int(name.rsplit("-", 1)[1])
-        return ScenarioBundle("contexts", mach_zehnder_case(case), name)
-    if name == "mz-counterfactual":
-        return ScenarioBundle("constraints", mz_counterfactual(), name)
-    if name == "mz-detuned":
-        system = mz_counterfactual_detuned(values["eps"])
-        return ScenarioBundle("constraints", system, name)
-    if name == "pr-box":
-        family = bell_box(
-            values["e_ab"], values["e_ab2"], values["e_a2b"], values["e_a2b2"]
-        )
-        return ScenarioBundle("contexts", family, name)
-    if name == "tsirelson":
-        return ScenarioBundle("contexts", tsirelson_box(), name)
-    family = leggett_garg_chain(
-        values["e_xy"], values["e_yz"], values["e_xz"]
-    )
-    return ScenarioBundle("contexts", family, name)
+# --- built-in parameters ----------------------------------------------------
 
 
 def _parse_params(
     name: str, raw_params: Sequence[str]
 ) -> dict[str, Fraction]:
-    if name not in _BUILTIN_PARAMS:
-        raise ScenarioFormatError(
-            f"unknown builtin {name!r}; known: {', '.join(BUILTIN_NAMES)}"
-        )
-    order, _ = _BUILTIN_PARAMS[name]
+    order = tuple(builtin_spec(name).defaults)
     params: dict[str, Fraction] = {}
     positional = 0
     for raw in raw_params:
@@ -419,32 +344,38 @@ def _bundle_system(bundle: ScenarioBundle) -> ConstraintSystem:
     return family_system(bundle.payload)  # type: ignore[arg-type]
 
 
-def _cmd_solve(bundle: ScenarioBundle, fmt: str) -> int:
+def _solve_report(
+    command: str, bundle: ScenarioBundle
+) -> tuple[dict, SolveResult]:
+    """Solve the bundle; a report with status, M*, rank and nullity."""
     system = _bundle_system(bundle)
     result = minimize_l1(system)
-    report = _empty_report("solve", bundle.label, system.space.variables)
+    report = _empty_report(command, bundle.label, system.space.variables)
     report["status"] = result.status.value
     report["mstar"] = None if result.mstar is None else str(result.mstar)
     report["rank"] = result.rank
     report["nullity"] = result.nullity
+    return report, result
+
+
+def _cmd_solve(bundle: ScenarioBundle) -> tuple[dict, int]:
+    report, result = _solve_report("solve", bundle)
     report["witness"] = _witness_table(result.witness)
     if bundle.kind == "contexts":
         report["bias"] = _bias_entry(detect_bias(bundle.payload))
-    print(_render(report, fmt), end="")
-    return 2 if result.status is SolveStatus.INFEASIBLE else 0
+    return report, 2 if result.status is SolveStatus.INFEASIBLE else 0
 
 
-def _cmd_viable(bundle: ScenarioBundle, fmt: str) -> int:
+def _cmd_viable(bundle: ScenarioBundle) -> tuple[dict, int]:
     system = _bundle_system(bundle)
     witness = feasible_proper(system)
     report = _empty_report("viable", bundle.label, system.space.variables)
     report["viable"] = witness is not None
     report["witness"] = _witness_table(witness)
-    print(_render(report, fmt), end="")
-    return 0 if witness is not None else 2
+    return report, 0 if witness is not None else 2
 
 
-def _cmd_bias(bundle: ScenarioBundle, fmt: str) -> int:
+def _cmd_bias(bundle: ScenarioBundle) -> tuple[dict, int]:
     if bundle.kind != "contexts":
         raise ScenarioFormatError(
             "bias analysis needs a scenario with contexts"
@@ -453,8 +384,7 @@ def _cmd_bias(bundle: ScenarioBundle, fmt: str) -> int:
     witness = detect_bias(family)
     report = _empty_report("bias", bundle.label, family.global_variables)
     report["bias"] = _bias_entry(witness)
-    print(_render(report, fmt), end="")
-    return 0
+    return report, 0
 
 
 def _parse_assignment_flag(text: str, flag: str) -> dict[str, int]:
@@ -473,21 +403,14 @@ def _parse_assignment_flag(text: str, flag: str) -> dict[str, int]:
 
 
 def _cmd_condition(
-    bundle: ScenarioBundle, target_text: str, given_text: str, fmt: str
-) -> int:
+    bundle: ScenarioBundle, target_text: str, given_text: str
+) -> tuple[dict, int]:
     target = _parse_assignment_flag(target_text, "--target")
     given = _parse_assignment_flag(given_text, "--given")
-    system = _bundle_system(bundle)
-    result = minimize_l1(system)
-    report = _empty_report("condition", bundle.label, system.space.variables)
-    report["status"] = result.status.value
-    report["mstar"] = None if result.mstar is None else str(result.mstar)
-    report["rank"] = result.rank
-    report["nullity"] = result.nullity
+    report, result = _solve_report("condition", bundle)
     if result.witness is None:
-        print(_render(report, fmt), end="")
-        return 2
-    space = system.space
+        return report, 2
+    space = result.witness.space
     entry: dict = {"target": target, "given": given}
     try:
         value = signed_conditional(
@@ -501,8 +424,7 @@ def _cmd_condition(
         entry["value"] = None
         entry["proper_range"] = None
     report["conditional"] = entry
-    print(_render(report, fmt), end="")
-    return 0
+    return report, 0
 
 
 # --- argument parsing --------------------------------------------------------
@@ -576,12 +498,9 @@ def _load_bundle(path: str) -> ScenarioBundle:
             f"malformed JSON in {path}: {exc.msg} at line {exc.lineno} "
             f"column {exc.colno}"
         ) from exc
-    label = None
-    if isinstance(data, dict) and isinstance(data.get("builtin"), dict):
-        name = data["builtin"].get("name")
-        if isinstance(name, str):
-            label = name
-    return scenario_from_data(data, label=label)
+    except ValueError as exc:  # bytes that are not UTF-8, overlong integers
+        raise ScenarioFormatError(f"cannot read {path}: {exc}") from exc
+    return scenario_from_data(data, label=None)
 
 
 def run(argv: Sequence[str] | None = None) -> int:
@@ -591,23 +510,21 @@ def run(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.command == "builtin":
             params = _parse_params(args.name, args.param)
-            bundle = builtin_bundle(args.name, params)
-            return _cmd_solve(bundle, args.format)
-        bundle = _load_bundle(args.file)
-        if args.command == "solve":
-            return _cmd_solve(bundle, args.format)
-        if args.command == "viable":
-            return _cmd_viable(bundle, args.format)
-        if args.command == "bias":
-            return _cmd_bias(bundle, args.format)
-        return _cmd_condition(bundle, args.target, args.given, args.format)
+            report, code = _cmd_solve(builtin_bundle(args.name, params))
+        elif args.command == "condition":
+            bundle = _load_bundle(args.file)
+            report, code = _cmd_condition(bundle, args.target, args.given)
+        else:
+            handler = {
+                "solve": _cmd_solve, "viable": _cmd_viable, "bias": _cmd_bias
+            }[args.command]
+            report, code = handler(_load_bundle(args.file))
+        print(_render(report, args.format), end="")
+        return code
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 1
-    except NegprobError as exc:
+    except (OSError, NegprobError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
 

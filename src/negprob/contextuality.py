@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import MissingPairContext, UnknownVariable
-from .measure import Context, Event, build_space, cylinder
-from .solver import ConstraintSystem, SolveResult, minimize_l1
+from .measure import Context, build_space
+from .solver import ConstraintSystem, SolveResult, assemble, minimize_l1
 
 
 @dataclass(frozen=True)
@@ -107,25 +107,14 @@ def family_system(family: ContextFamily) -> ConstraintSystem:
     they make the system infeasible, which is the correct verdict for a
     biased family, so no contradiction check happens here.
     """
-    space = build_space(family.global_variables)
-    rows: list[tuple[Event, Fraction]] = []
-    seen: set[tuple[frozenset[int], Fraction]] = set()
+    rows = []
     for context in family.contexts:
+        sign = build_space(context.variables).atom_sign
         for atom, value in enumerate(context.distribution):
-            partial = {
-                name: (+1 if atom >> k & 1 else -1)
-                for k, name in enumerate(context.variables)
-            }
-            event = cylinder(space, partial)
-            key = (event.atoms, value)
-            if key in seen:
-                continue
-            seen.add(key)
-            rows.append((event, value))
-    full = Event.full(space)
-    if (full.atoms, Fraction(1)) not in seen:
-        rows.append((full, Fraction(1)))
-    return ConstraintSystem(space, tuple(rows), includes_normalization=True)
+            partial = {name: sign(atom, name) for name in context.variables}
+            rows.append((partial, value))
+    space = build_space(family.global_variables)
+    return assemble(space, rows, keep_contradictions=True)
 
 
 def family_mstar(family: ContextFamily) -> SolveResult:

@@ -26,7 +26,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 from .contextuality import ContextFamily
 from .errors import (
@@ -35,6 +35,7 @@ from .errors import (
     DegenerateGeometry,
     EpsOutOfRange,
     InvalidCase,
+    ScenarioFormatError,
     ValueOutOfBounds,
 )
 from .measure import Context, SampleSpace, SignedMeasure, as_fraction, build_space
@@ -237,28 +238,33 @@ def _pair_distribution(e: Fraction) -> tuple[Fraction, ...]:
     return (agree, differ, differ, agree)
 
 
-def _checked_correlation(value: object, label: str) -> Fraction:
-    e = as_fraction(value)
-    if abs(e) > 1:
-        raise CorrelationOutOfRange(f"{label} must lie in [-1, 1], got {e}")
-    return e
+def _pair_family(
+    variables: tuple[str, ...],
+    pairs: tuple[tuple[str, str], ...],
+    correlations: dict[str, object],
+) -> ContextFamily:
+    """One pair context per named correlation, in order; unbiased singles."""
+    values = []
+    for label, value in correlations.items():
+        e = as_fraction(value)
+        if abs(e) > 1:
+            raise CorrelationOutOfRange(
+                f"{label} must lie in [-1, 1], got {e}"
+            )
+        values.append(e)
+    contexts = tuple(
+        Context(pair, _pair_distribution(e)) for pair, e in zip(pairs, values)
+    )
+    return ContextFamily(variables, contexts)
 
 
 def bell_box(
     e_ab: object, e_ab2: object, e_a2b: object, e_a2b2: object
 ) -> ContextFamily:
     """Four pair contexts over (A, A2, B, B2) with unbiased singles."""
-    values = [
-        _checked_correlation(e_ab, "e_ab"),
-        _checked_correlation(e_ab2, "e_ab2"),
-        _checked_correlation(e_a2b, "e_a2b"),
-        _checked_correlation(e_a2b2, "e_a2b2"),
-    ]
     pairs = (("A", "B"), ("A", "B2"), ("A2", "B"), ("A2", "B2"))
-    contexts = tuple(
-        Context(pair, _pair_distribution(e)) for pair, e in zip(pairs, values)
-    )
-    return ContextFamily(BELL_VARIABLES, contexts)
+    correlations = dict(e_ab=e_ab, e_ab2=e_ab2, e_a2b=e_a2b, e_a2b2=e_a2b2)
+    return _pair_family(BELL_VARIABLES, pairs, correlations)
 
 
 def tsirelson_box() -> ContextFamily:
@@ -275,16 +281,9 @@ def leggett_garg_chain(
     e_xy: object, e_yz: object, e_xz: object
 ) -> ContextFamily:
     """Three pair contexts over (X, Y, Z) with unbiased singles."""
-    values = [
-        _checked_correlation(e_xy, "e_xy"),
-        _checked_correlation(e_yz, "e_yz"),
-        _checked_correlation(e_xz, "e_xz"),
-    ]
     pairs = (("X", "Y"), ("Y", "Z"), ("X", "Z"))
-    contexts = tuple(
-        Context(pair, _pair_distribution(e)) for pair, e in zip(pairs, values)
-    )
-    return ContextFamily(CHAIN_VARIABLES, contexts)
+    correlations = dict(e_xy=e_xy, e_yz=e_yz, e_xz=e_xz)
+    return _pair_family(CHAIN_VARIABLES, pairs, correlations)
 
 
 @dataclass(frozen=True)
@@ -366,22 +365,98 @@ class ScenarioBundle:
     """A named, ready-to-analyze scenario.
 
     kind is "contexts" when payload is a ContextFamily and "constraints"
-    when payload is a ConstraintSystem.
+    when payload is a ConstraintSystem; any other payload is refused.
     """
 
-    kind: str
     payload: ContextFamily | ConstraintSystem
-    label: str
+    label: str | None
 
     def __post_init__(self) -> None:
-        expected = {
-            "contexts": ContextFamily,
-            "constraints": ConstraintSystem,
-        }
-        if self.kind not in expected:
-            raise ValueError(f"unknown bundle kind {self.kind!r}")
-        if not isinstance(self.payload, expected[self.kind]):
+        if not isinstance(self.payload, (ContextFamily, ConstraintSystem)):
             raise ValueError(
-                f"bundle kind {self.kind!r} does not match payload "
-                f"{type(self.payload).__name__}"
+                "bundle payload must be a ContextFamily or a "
+                f"ConstraintSystem, got {type(self.payload).__name__}"
             )
+
+    @property
+    def kind(self) -> str:
+        if isinstance(self.payload, ContextFamily):
+            return "contexts"
+        return "constraints"
+
+
+# --- built-in registry -------------------------------------------------------
+
+
+class Builtin(NamedTuple):
+    """One built-in: defaults by parameter name in positional order, a
+    builder taking {name: value}, and a one-line description."""
+
+    defaults: dict[str, Fraction]
+    build: Callable[[dict[str, Fraction]], ContextFamily | ConstraintSystem]
+    description: str
+
+
+# Builders are lambdas so they look the builder functions up by name at
+# call time; each parameter name is the builder's argument name.
+_ONE = Fraction(1)
+BUILTINS: dict[str, Builtin] = {
+    **{
+        f"mz-case-{n}": Builtin(
+            {},
+            lambda v, n=n: mach_zehnder_case(n),
+            "a single interferometer placement, "
+            "an ordinary proper distribution",
+        )
+        for n in range(1, 9)
+    },
+    "mz-counterfactual": Builtin(
+        {},
+        lambda v: mz_counterfactual(),
+        "the pooled four-detector system with M* = 3",
+    ),
+    "mz-detuned": Builtin(
+        {"eps": Fraction(1, 100)},
+        lambda v: mz_counterfactual_detuned(**v),
+        "same system with the interference rows moved to 1-eps and eps",
+    ),
+    "pr-box": Builtin(
+        {"e_ab": _ONE, "e_ab2": _ONE, "e_a2b": _ONE, "e_a2b2": -_ONE},
+        lambda v: bell_box(**v),
+        "four pair contexts with unbiased singles; defaults give M* = 2",
+    ),
+    "tsirelson": Builtin(
+        {},
+        lambda v: tsirelson_box(),
+        "the box at correlation 408/577, a rational stand-in for sqrt(2)/2",
+    ),
+    "lg-chain": Builtin(
+        {"e_xy": _ONE, "e_yz": _ONE, "e_xz": -_ONE},
+        lambda v: leggett_garg_chain(**v),
+        "three pairwise contexts over a chain of times",
+    ),
+}
+BUILTIN_NAMES = tuple(sorted(BUILTINS))
+
+
+def builtin_spec(name: str) -> Builtin:
+    """The registry entry for a built-in name."""
+    if name not in BUILTINS:
+        raise ScenarioFormatError(
+            f"unknown builtin {name!r}; known: {', '.join(BUILTIN_NAMES)}"
+        )
+    return BUILTINS[name]
+
+
+def builtin_bundle(
+    name: str, params: Mapping[str, Fraction]
+) -> ScenarioBundle:
+    """Materialize a built-in scenario; unset parameters take defaults."""
+    spec = builtin_spec(name)
+    unknown = set(params) - set(spec.defaults)
+    if unknown:
+        raise ScenarioFormatError(
+            f"builtin {name!r} takes parameters {tuple(spec.defaults) or '()'}"
+            f", got {sorted(unknown)}"
+        )
+    return ScenarioBundle(spec.build({**spec.defaults, **params}), name)

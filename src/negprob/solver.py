@@ -53,11 +53,10 @@ class SolveStatus(Enum):
 
 @dataclass(frozen=True)
 class ConstraintSystem:
-    """Equality rows (event, value) over one space, plus normalization."""
+    """Equality rows (event, value) over one space."""
 
     space: SampleSpace
     rows: tuple[tuple[Event, Fraction], ...]
-    includes_normalization: bool
 
     def __post_init__(self) -> None:
         for event, _ in self.rows:
@@ -65,6 +64,15 @@ class ConstraintSystem:
                 raise SpaceMismatch(
                     "constraint event lives in a different space"
                 )
+
+    @property
+    def includes_normalization(self) -> bool:
+        """True when some row pins the full space to total mass 1."""
+        full = self.space.atom_count
+        return any(
+            value == 1 and len(event.atoms) == full
+            for event, value in self.rows
+        )
 
 
 @dataclass(frozen=True)
@@ -88,69 +96,51 @@ class SolveResult:
 def assemble(
     space: SampleSpace,
     constraints: Iterable[tuple[Mapping[str, int], object]],
+    *,
+    keep_contradictions: bool = False,
 ) -> ConstraintSystem:
     """Build a system from (partial assignment, value) pairs.
 
-    Each pair becomes one cylinder-event row.  Exact duplicates are
-    dropped; the same event with two different values raises
-    ContradictoryRows.  The normalization row (full space equals 1) is
+    Each pair becomes one cylinder-event row, in input order.  Exact
+    duplicates are dropped; the same event with two different values
+    raises ContradictoryRows, unless keep_contradictions is set: then both
+    rows stay, and the system is infeasible (the verdict for a biased
+    context family).  The normalization row (full space equals 1) is
     appended unless the caller already supplied it.
     """
     rows: list[tuple[Event, Fraction]] = []
-    values: dict[frozenset[int], Fraction] = {}
+    seen: dict[object, Fraction] = {}
+
+    def add(event: Event, value: Fraction) -> None:
+        key = (event.atoms, value) if keep_contradictions else event.atoms
+        if key not in seen:
+            seen[key] = value
+            rows.append((event, value))
+        elif seen[key] != value:
+            raise ContradictoryRows(event, seen[key], value)
+
     for partial, raw in constraints:
         value = as_fraction(raw)
         if abs(value) > ASSEMBLE_VALUE_BOUND:
             raise ValueOutOfBounds(
                 f"constraint value {value} outside sanity bound"
             )
-        event = cylinder(space, partial)
-        if event.atoms in values:
-            if values[event.atoms] != value:
-                raise ContradictoryRows(event, values[event.atoms], value)
-            continue
-        values[event.atoms] = value
-        rows.append((event, value))
-    full = Event.full(space)
-    if full.atoms in values:
-        if values[full.atoms] != 1:
-            raise ContradictoryRows(full, values[full.atoms], Fraction(1))
-    else:
-        rows.append((full, Fraction(1)))
-    return ConstraintSystem(space, tuple(rows), includes_normalization=True)
-
-
-def _indicator(event: Event, n: int) -> list[Fraction]:
-    row = [Fraction(0)] * n
-    for atom in event.atoms:
-        row[atom] = Fraction(1)
-    return row
+        add(cylinder(space, partial), value)
+    add(Event.full(space), Fraction(1))
+    return ConstraintSystem(space, tuple(rows))
 
 
 def rank_nullity(cs: ConstraintSystem) -> tuple[int, int]:
-    """Rank of the 0/1 row matrix and nullity = atom_count - rank."""
+    """Rank of the 0/1 row matrix and nullity = atom_count - rank.
+
+    Every row starts on an artificial basis, so the simplex's drop step
+    is plain row reduction here.
+    """
     n = cs.space.atom_count
-    rows = [_indicator(event, n) for event, _ in cs.rows]
-    rank = 0
-    for col in range(n):
-        pivot = next(
-            (i for i in range(rank, len(rows)) if rows[i][col] != 0), -1
-        )
-        if pivot < 0:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                factor = rows[i][col]
-                rows[i] = [
-                    x - factor * y for x, y in zip(rows[i], rows[rank])
-                ]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank, n - rank
+    tab, b = _system_matrix(cs)
+    basis = [n + i for i in range(len(tab))]
+    tab, _, _ = _drop_redundant(tab, b, [Fraction(0)] * (n + 1), basis, n)
+    return len(tab), n - len(tab)
 
 
 # --- simplex internals ---------------------------------------------------
@@ -216,26 +206,23 @@ def _bland_iterate(
         _pivot(tab, rhs, cost_row, basis, leave, enter)
 
 
-def _lp_minimize(
-    a_rows: Sequence[Sequence[Fraction]],
-    b: Sequence[Fraction],
-    cost: Sequence[Fraction],
-) -> tuple[Fraction, list[Fraction]] | None:
-    """min cost·x subject to Ax = b, x >= 0; None when infeasible."""
-    m = len(a_rows)
-    n = len(cost)
-    tab = [list(row) for row in a_rows]
-    rhs = [Fraction(v) for v in b]
-    for i in range(m):
-        if rhs[i] < 0:
-            tab[i] = [-x for x in tab[i]]
-            rhs[i] = -rhs[i]
+def _phase1(
+    a_rows: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
+) -> tuple[list[list[Fraction]], list[Fraction], list[Fraction], list[int]]:
+    """Phase 1 for Ax = b, x >= 0, one artificial per row.
 
-    # phase 1: artificial variable per row, drive their sum to zero
+    Returns (tab, rhs, cost_row, basis); x >= 0 exists iff cost_row[-1] is 0.
+    """
+    m = len(a_rows)
+    n = len(a_rows[0])
     zero = Fraction(0)
     one = Fraction(1)
-    for i in range(m):
-        tab[i] = tab[i] + [one if k == i else zero for k in range(m)]
+    tab: list[list[Fraction]] = []
+    rhs = [Fraction(v) for v in b]
+    for i, row in enumerate(a_rows):
+        if rhs[i] < 0:
+            row, rhs[i] = [-x for x in row], -rhs[i]
+        tab.append([*row, *(one if k == i else zero for k in range(m))])
     basis = [n + i for i in range(m)]
     cost_row = [zero] * (n + m + 1)
     for j in range(n, n + m):
@@ -245,25 +232,43 @@ def _lp_minimize(
             cost_row[j] -= tab[i][j]
         cost_row[-1] -= rhs[i]
     _bland_iterate(tab, rhs, cost_row, basis)
-    if -cost_row[-1] > 0:
-        return None
+    return tab, rhs, cost_row, basis
 
-    # pivot leftover artificials out of the basis; a row whose real
-    # coefficients are all zero is redundant and gets dropped
+
+def _drop_redundant(
+    tab: list[list[Fraction]],
+    rhs: list[Fraction],
+    cost_row: list[Fraction],
+    basis: list[int],
+    n: int,
+) -> tuple[list[list[Fraction]], list[Fraction], list[int]]:
+    """Pivot artificials (basis >= n) out onto their row's first nonzero
+    real column, dropping rows with no such column as redundant.  Returns
+    the kept rows cut to n columns; their count is the rank."""
     keep: list[int] = []
-    for i in range(m):
+    for i in range(len(tab)):
         if basis[i] >= n:
             col = next((j for j in range(n) if tab[i][j] != 0), -1)
             if col < 0:
                 continue
             _pivot(tab, rhs, cost_row, basis, i, col)
         keep.append(i)
+    return (
+        [tab[i][:n] for i in keep],
+        [rhs[i] for i in keep],
+        [basis[i] for i in keep],
+    )
 
-    tab = [tab[i][:n] for i in keep]
-    rhs = [rhs[i] for i in keep]
-    basis = [basis[i] for i in keep]
 
-    # phase 2: the real objective
+def _phase2(
+    tab: list[list[Fraction]],
+    rhs: list[Fraction],
+    basis: list[int],
+    cost: Sequence[Fraction],
+) -> tuple[Fraction, list[Fraction]]:
+    """min cost·x from a feasible basis of real columns; (value, x)."""
+    n = len(cost)
+    zero = Fraction(0)
     cost_row = [Fraction(c) for c in cost] + [zero]
     for i, row in enumerate(tab):
         basic_cost = cost[basis[i]]
@@ -282,10 +287,14 @@ def _lp_minimize(
 def _system_matrix(
     cs: ConstraintSystem,
 ) -> tuple[list[list[Fraction]], list[Fraction]]:
-    n = cs.space.atom_count
-    a_rows = [_indicator(event, n) for event, _ in cs.rows]
-    b = [value for _, value in cs.rows]
-    return a_rows, b
+    """The 0/1 row matrix over the atoms, and the row values."""
+    a_rows = []
+    for event, _ in cs.rows:
+        row = [Fraction(0)] * cs.space.atom_count
+        for atom in event.atoms:
+            row[atom] = Fraction(1)
+        a_rows.append(row)
+    return a_rows, [value for _, value in cs.rows]
 
 
 def _require_normalization(cs: ConstraintSystem) -> None:
@@ -303,13 +312,12 @@ def feasible_proper(cs: ConstraintSystem) -> SignedMeasure | None:
     rows may still admit signed solutions.
     """
     _require_normalization(cs)
-    a_rows, b = _system_matrix(cs)
-    solved = _lp_minimize(
-        a_rows, b, [Fraction(0)] * cs.space.atom_count
-    )
-    if solved is None:
+    n = cs.space.atom_count
+    tab, rhs, cost_row, basis = _phase1(*_system_matrix(cs))
+    if cost_row[-1] != 0:
         return None
-    _, x = solved
+    tab, rhs, basis = _drop_redundant(tab, rhs, cost_row, basis, n)
+    _, x = _phase2(tab, rhs, basis, [Fraction(0)] * n)
     return SignedMeasure(cs.space, tuple(x))
 
 
@@ -318,17 +326,20 @@ def minimize_l1(cs: ConstraintSystem) -> SolveResult:
 
     With the normalization row present the optimum is at least 1, and it
     equals 1 exactly when a proper solution exists; in that case the
-    returned witness is itself proper.
+    returned witness is itself proper.  Rank and nullity are read off the
+    rows that phase 1 of the simplex keeps.
     """
     _require_normalization(cs)
-    rank, nullity = rank_nullity(cs)
     n = cs.space.atom_count
     a_rows, b = _system_matrix(cs)
     split = [row + [-x for x in row] for row in a_rows]
-    solved = _lp_minimize(split, b, [Fraction(1)] * (2 * n))
-    if solved is None:
-        return SolveResult(SolveStatus.INFEASIBLE, None, None, rank, nullity)
-    value, x = solved
+    tab, rhs, cost_row, basis = _phase1(split, b)
+    feasible = cost_row[-1] == 0
+    tab, rhs, basis = _drop_redundant(tab, rhs, cost_row, basis, 2 * n)
+    rank = len(tab)
+    if not feasible:
+        return SolveResult(SolveStatus.INFEASIBLE, None, None, rank, n - rank)
+    value, x = _phase2(tab, rhs, basis, [Fraction(1)] * (2 * n))
     mass = tuple(x[j] - x[n + j] for j in range(n))
     witness = SignedMeasure(cs.space, mass)
     status = (
@@ -336,7 +347,7 @@ def minimize_l1(cs: ConstraintSystem) -> SolveResult:
         if value == 1
         else SolveStatus.SIGNED_FEASIBLE_ONLY
     )
-    return SolveResult(status, value, witness, rank, nullity)
+    return SolveResult(status, value, witness, rank, n - rank)
 
 
 def verify_member(

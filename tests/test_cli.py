@@ -100,6 +100,11 @@ def test_builtin_param_forms_agree(capsys):
     positional = capsys.readouterr().out
     run(["builtin", "mz-detuned", "--param", "eps=1/10", "--format", "json"])
     assert capsys.readouterr().out == positional
+    run(["builtin", "lg-chain", "--param", "1/2", "--param", "1/3"])
+    positional = capsys.readouterr().out
+    run(["builtin", "lg-chain", "--param", "e_yz=1/3", "--param", "e_xy=1/2"])
+    assert capsys.readouterr().out == positional
+    assert "M* = 17/12\n" in positional
 
 
 def test_builtin_errors(capsys):
@@ -302,3 +307,41 @@ def test_builtin_document_with_params(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["label"] == "pr-box"
     assert report["mstar"] == "7/4"
+
+
+def test_non_utf8_file_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"variables": ["Ä"]}'.encode("latin-1"))
+    assert run(["solve", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("input error: cannot read")
+
+
+def test_overlong_literals_are_input_errors(tmp_path, capsys):
+    digits = "1" * 5000
+    doc = {
+        "variables": ["X"],
+        "constraints": [{"event": {"X": 1}, "value": f"1/{digits}"}],
+    }
+    assert run(["solve", write_json(tmp_path, "long.json", doc)]) == 1
+    assert capsys.readouterr().err.startswith("input error:")
+    path = tmp_path / "long-sign.json"
+    path.write_text(
+        '{"variables": ["X"], "constraints": '
+        f'[{{"event": {{"X": {digits}}}, "value": "1"}}]}}',
+        encoding="utf-8",
+    )
+    assert run(["solve", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("input error:")
+    assert run(["builtin", "mz-detuned", "--param", digits]) == 1
+    assert capsys.readouterr().err.startswith("input error:")
+
+
+def test_float_signs_are_rejected(tmp_path, capsys):
+    for sign in (1.0, -1.0):
+        doc = {
+            "variables": ["X"],
+            "constraints": [{"event": {"X": sign}, "value": "1/2"}],
+        }
+        path = write_json(tmp_path, "float-sign.json", doc)
+        assert run(["solve", path]) == 1
+        assert "must be 1 or -1" in capsys.readouterr().err

@@ -1,0 +1,180 @@
+"""Golden outputs: CLI bytes, exit codes and n-cycle solves, pinned.
+
+``tests/golden/cli.json`` holds the exact stdout, stderr and exit code of
+every built-in in both formats, of each file subcommand on the scenario
+documents next to it, and of a few rejected commands.
+``tests/golden/ncycles.json`` holds status, M*, rank/nullity and witness
+masses for the n-cycle families n = 3..8.  Both were captured from the
+solver before any refactor; a change that moves one byte of them changes
+the Bland path or the rendering and must say so.
+
+To rewrite the data (only from a commit whose outputs are trusted):
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from negprob import (
+    Context,
+    ContextFamily,
+    family_system,
+    minimize_l1,
+    rank_nullity,
+)
+from negprob.cli import run
+
+GOLDEN = Path(__file__).parent / "golden"
+
+BUILTINS = [f"mz-case-{n}" for n in range(1, 9)] + [
+    "mz-counterfactual",
+    "mz-detuned",
+    "pr-box",
+    "tsirelson",
+    "lg-chain",
+]
+
+# "@name" stands for the scenario document tests/golden/name
+FILE_COMMANDS = {
+    "contexts.json": [
+        ["solve"],
+        ["viable"],
+        ["bias"],
+        ["condition", "--target", "X=1", "--given", "Y=1"],
+    ],
+    "constraints.json": [
+        ["solve"],
+        ["viable"],
+        ["bias"],
+        ["condition", "--target", "Da=1", "--given", "D1=1"],
+        ["condition", "--target", "Db=1", "--given", "D2=1"],
+    ],
+    "biased.json": [
+        ["solve"],
+        ["viable"],
+        ["bias"],
+        ["condition", "--target", "Da=1", "--given", "D1=1"],
+    ],
+    "inconsistent.json": [["solve"], ["viable"]],
+}
+
+REJECTED = [
+    ["builtin", "mz-warp"],
+    ["builtin", "mz-warp", "--param", "1"],
+    ["builtin", "mz-counterfactual", "--param", "1/2"],
+    ["builtin", "mz-detuned", "--param", "nu=1/10"],
+    ["builtin", "mz-detuned", "--param", "0.1"],
+    ["builtin", "mz-detuned", "--param", "1/2"],
+    ["builtin", "lg-chain"] + ["--param", "1"] * 4,
+    ["builtin", "pr-box", "--param", "2"],
+]
+
+
+def cli_commands() -> list[list[str]]:
+    commands = []
+    for name in BUILTINS:
+        for fmt in ("table", "json"):
+            commands.append(["builtin", name, "--format", fmt])
+    for doc, runs in FILE_COMMANDS.items():
+        for argv in runs:
+            for fmt in ("table", "json"):
+                commands.append(
+                    [argv[0], "@" + doc, *argv[1:], "--format", fmt]
+                )
+    return commands + REJECTED
+
+
+def run_captured(argv: list[str]) -> dict:
+    resolved = [
+        str(GOLDEN / arg[1:]) if arg.startswith("@") else arg for arg in argv
+    ]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(resolved)
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def ncycle(n: int) -> ContextFamily:
+    """Pair contexts on a ring of n variables, unbiased singles.
+
+    Every correlation is +1 except the last edge (V{n-1}, V0), which is -1.
+    """
+    names = tuple(f"V{k}" for k in range(n))
+    contexts = []
+    for k in range(n):
+        e = -1 if k == n - 1 else 1
+        agree, differ = Fraction(1 + e, 4), Fraction(1 - e, 4)
+        contexts.append(
+            Context(
+                (names[k], names[(k + 1) % n]), (agree, differ, differ, agree)
+            )
+        )
+    return ContextFamily(names, tuple(contexts))
+
+
+def ncycle_solve(n: int) -> dict:
+    system = family_system(ncycle(n))
+    result = minimize_l1(system)
+    return {
+        "status": result.status.value,
+        "mstar": str(result.mstar),
+        "rank": result.rank,
+        "nullity": result.nullity,
+        "rank_nullity": list(rank_nullity(system)),
+        "witness": {
+            system.space.atom_label(atom): str(mass)
+            for atom, mass in enumerate(result.witness.mass)
+            if mass != 0
+        },
+    }
+
+
+def load(name: str) -> dict:
+    return json.loads((GOLDEN / name).read_text(encoding="utf-8"))
+
+
+WRITING = __name__ == "__main__"
+CLI_GOLDEN = {} if WRITING else load("cli.json")
+NCYCLE_GOLDEN = {} if WRITING else load("ncycles.json")
+
+
+def test_golden_covers_every_command():
+    assert list(CLI_GOLDEN) == [" ".join(argv) for argv in cli_commands()]
+
+
+@pytest.mark.parametrize("key", list(CLI_GOLDEN))
+def test_cli_output_matches_golden(key):
+    expected = CLI_GOLDEN[key]
+    got = run_captured(expected["argv"])
+    assert got["exit"] == expected["exit"]
+    assert got["stdout"].encode("utf-8") == expected["stdout"].encode("utf-8")
+    assert got["stderr"] == expected["stderr"]
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_ncycle_solve_matches_golden(n):
+    assert ncycle_solve(n) == NCYCLE_GOLDEN[str(n)]
+
+
+def _write(name: str, data: dict) -> None:
+    text = json.dumps(data, indent=1, ensure_ascii=False) + "\n"
+    (GOLDEN / name).write_text(text, encoding="utf-8")
+
+
+if WRITING:
+    _write(
+        "cli.json",
+        {
+            " ".join(argv): {"argv": argv, **run_captured(argv)}
+            for argv in cli_commands()
+        },
+    )
+    _write("ncycles.json", {str(n): ncycle_solve(n) for n in range(3, 9)})

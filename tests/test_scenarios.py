@@ -2,7 +2,9 @@
 
 import math
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +32,8 @@ from negprob import (
     verify_member,
     wave_detection,
 )
+import negprob.scenarios as scenarios
+from negprob.scenarios import BUILTINS, builtin_bundle
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -279,9 +283,63 @@ def test_nearest_rational():
 
 def test_bundle_kind_must_match_payload():
     family = mach_zehnder_case(1)
-    bundle = ScenarioBundle("contexts", family, "case-1")
+    bundle = ScenarioBundle(family, "case-1")
     assert bundle.label == "case-1"
+    assert bundle.kind == "contexts"
+    assert ScenarioBundle(mz_counterfactual(), None).kind == "constraints"
+    with pytest.raises(AttributeError):
+        bundle.kind = "constraints"
     with pytest.raises(ValueError):
-        ScenarioBundle("constraints", family, "case-1")
+        ScenarioBundle(family.contexts[0], "case-1")
     with pytest.raises(ValueError):
-        ScenarioBundle("marginals", family, "case-1")
+        ScenarioBundle(mz_space(), "case-1")
+
+
+# -- built-in registry -------------------------------------------------------
+
+
+def readme_builtins():
+    """{name: ([(parameter, default), ...], description)} from the README
+    built-in table, backquotes dropped from the description."""
+    readme = Path(__file__).parent.parent / "README.md"
+    text = readme.read_text(encoding="utf-8").split("Built-in scenarios", 1)[1]
+    rows = [line for line in text.splitlines() if line.startswith("| `")]
+    table = {}
+    for line in rows:
+        cells = (c.strip() for c in line[1:-1].split("|"))
+        name_cell, param_cell, text = cells
+        first, *last = re.findall(r"`([^`]+)`", name_cell)
+        names = [first]
+        if last:  # `stem-1` .. `stem-8`
+            stem, low = first.rsplit("-", 1)
+            high = int(last[0].rsplit("-", 1)[1])
+            names = [f"{stem}-{k}" for k in range(int(low), high + 1)]
+        entry = []
+        if param_cell != "none":
+            params, defaults = re.fullmatch(
+                r"`([^`]+)` \(default `([^`]+)`\)", param_cell
+            ).groups()
+            entry = list(zip(params.split(), map(Fraction, defaults.split())))
+        table.update((name, (entry, text.replace("`", ""))) for name in names)
+    return table
+
+
+def test_readme_table_matches_registry():
+    registry = {
+        name: (list(spec.defaults.items()), spec.description)
+        for name, spec in BUILTINS.items()
+    }
+    assert readme_builtins() == registry
+
+
+def test_builtin_builders_are_looked_up_by_name(monkeypatch):
+    calls = []
+
+    def spy(**values):
+        calls.append(values)
+        return bell_box(**values)
+
+    monkeypatch.setattr(scenarios, "bell_box", spy)
+    bundle = builtin_bundle("pr-box", {"e_ab": HALF})
+    assert calls == [{"e_ab": HALF, "e_ab2": 1, "e_a2b": 1, "e_a2b2": -1}]
+    assert (bundle.kind, bundle.label) == ("contexts", "pr-box")

@@ -65,6 +65,32 @@ def test_assemble_rejects_contradiction():
         )
 
 
+def test_assemble_keeps_contradictions_on_request():
+    rows = [
+        ({"X": 1}, Fraction(1, 2)),
+        ({"X": 1}, Fraction(1, 3)),
+        ({"X": 1}, Fraction(1, 2)),
+    ]
+    cs = assemble(XY, rows, keep_contradictions=True)
+    assert [value for _, value in cs.rows] == [
+        Fraction(1, 2),
+        Fraction(1, 3),
+        Fraction(1),
+    ]
+    result = minimize_l1(cs)
+    assert result.status is SolveStatus.INFEASIBLE
+    assert (result.rank, result.nullity) == rank_nullity(cs) == (2, 2)
+
+
+def test_includes_normalization_is_read_from_rows():
+    full = Event.full(XY)
+    assert ConstraintSystem(XY, ((full, Fraction(1)),)).includes_normalization
+    half = ConstraintSystem(XY, ((full, Fraction(1, 2)),))
+    assert not half.includes_normalization
+    with pytest.raises(MissingNormalization):
+        minimize_l1(half)
+
+
 def test_assemble_accepts_explicit_normalization():
     cs = assemble(XY, [({}, 1)])
     assert len(cs.rows) == 1
@@ -108,6 +134,23 @@ def test_rank_nullity_fully_pinned():
     assert rank_nullity(assemble(XY, rows)) == (4, 0)
 
 
+def test_solver_rank_matches_independent_row_reduction():
+    rng = random.Random(11)
+    statuses = set()
+    for _ in range(150):
+        cs = random_small_system(rng)
+        result = minimize_l1(cs)
+        statuses.add(result.status)
+        homogeneous = ConstraintSystem(
+            cs.space, tuple((event, Fraction(0)) for event, _ in cs.rows)
+        )
+        _, _, free_cols = parameterization(homogeneous)
+        expected = (cs.space.atom_count - len(free_cols), len(free_cols))
+        assert (result.rank, result.nullity) == expected
+        assert rank_nullity(cs) == expected
+    assert statuses == set(SolveStatus)
+
+
 # -- proper feasibility -----------------------------------------------------
 
 
@@ -131,7 +174,7 @@ def test_feasible_proper_none_when_signed_only():
 
 
 def test_normalization_row_is_required():
-    bare = ConstraintSystem(XY, (), includes_normalization=False)
+    bare = ConstraintSystem(XY, ())
     with pytest.raises(MissingNormalization):
         feasible_proper(bare)
     with pytest.raises(MissingNormalization):
