@@ -41,6 +41,7 @@ from .contextuality import (
     family_system,
 )
 from .errors import (
+    InvalidAssignment,
     NegprobError,
     ScenarioFormatError,
     UndefinedConditional,
@@ -103,24 +104,14 @@ def _context_from_data(entry: object, index: int) -> Context:
     distribution = entry.get("distribution")
     if not isinstance(distribution, dict):
         raise ScenarioFormatError(f"{where}.distribution must be an object")
-    size = 1 << len(variables)
-    mass = [Fraction(0)] * size
-    for key, raw in distribution.items():
-        if (
-            not isinstance(key, str)
-            or len(key) != len(variables)
-            or any(ch not in "+-" for ch in key)
-        ):
-            raise ScenarioFormatError(
-                f"{where}: key {key!r} must spell one +/- per variable "
-                f"in order {variables}"
-            )
-        atom = 0
-        for k, ch in enumerate(key):
-            if ch == "+":
-                atom |= 1 << k
-        mass[atom] = parse_rational(raw)
-    return Context(tuple(variables), tuple(mass))
+    space = build_space(variables)
+    mass = [Fraction(0)] * space.atom_count
+    try:
+        for key, raw in distribution.items():
+            mass[space.atom_from_label(key)] = parse_rational(raw)
+    except InvalidAssignment as exc:
+        raise ScenarioFormatError(f"{where}: {exc}") from exc
+    return Context(space.variables, mass)
 
 
 def scenario_from_data(data: object, label: str) -> ScenarioBundle:
@@ -183,16 +174,11 @@ def family_to_scenario(family: ContextFamily) -> dict:
     """Serialize a context family to the scenario-file structure."""
     contexts = []
     for context in family.contexts:
-        label = build_space(context.variables).atom_label
-        distribution = {
-            label(atom): str(mass)
-            for atom, mass in enumerate(context.distribution)
-            if mass != 0
-        }
+        joint = SignedMeasure(context.space, context.distribution)
         contexts.append(
             {
                 "variables": list(context.variables),
-                "distribution": distribution,
+                "distribution": _label_table(joint),
             }
         )
     return {"variables": list(family.global_variables), "contexts": contexts}
@@ -225,12 +211,13 @@ def _parse_params(
 # --- reports ---------------------------------------------------------------
 
 
-def _witness_table(witness: SignedMeasure | None) -> dict[str, str] | None:
-    if witness is None:
+def _label_table(m: SignedMeasure | None) -> dict[str, str] | None:
+    """Nonzero masses keyed by atom label, as scenario files write them."""
+    if m is None:
         return None
     return {
-        witness.space.atom_label(atom): str(mass)
-        for atom, mass in enumerate(witness.mass)
+        m.space.atom_label(atom): str(mass)
+        for atom, mass in enumerate(m.mass)
         if mass != 0
     }
 
@@ -360,7 +347,7 @@ def _solve_report(
 
 def _cmd_solve(bundle: ScenarioBundle) -> tuple[dict, int]:
     report, result = _solve_report("solve", bundle)
-    report["witness"] = _witness_table(result.witness)
+    report["witness"] = _label_table(result.witness)
     if bundle.kind == "contexts":
         report["bias"] = _bias_entry(detect_bias(bundle.payload))
     return report, 2 if result.status is SolveStatus.INFEASIBLE else 0
@@ -371,7 +358,7 @@ def _cmd_viable(bundle: ScenarioBundle) -> tuple[dict, int]:
     witness = feasible_proper(system)
     report = _empty_report("viable", bundle.label, system.space.variables)
     report["viable"] = witness is not None
-    report["witness"] = _witness_table(witness)
+    report["witness"] = _label_table(witness)
     return report, 0 if witness is not None else 2
 
 

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import MissingPairContext, UnknownVariable
+from .errors import MissingPairContext
 from .measure import Context, build_space
 from .solver import ConstraintSystem, SolveResult, assemble, minimize_l1
 
@@ -33,15 +33,10 @@ class ContextFamily:
             self, "global_variables", tuple(self.global_variables)
         )
         object.__setattr__(self, "contexts", tuple(self.contexts))
-        build_space(self.global_variables)  # validates names and count
-        known = set(self.global_variables)
+        space = build_space(self.global_variables)  # validates names, count
         for context in self.contexts:
             for name in context.variables:
-                if name not in known:
-                    raise UnknownVariable(
-                        f"context variable {name!r} not among the "
-                        f"global variables {self.global_variables}"
-                    )
+                space.position(name)  # raises UnknownVariable for strangers
 
 
 @dataclass(frozen=True)
@@ -109,7 +104,7 @@ def family_system(family: ContextFamily) -> ConstraintSystem:
     """
     rows = []
     for context in family.contexts:
-        sign = build_space(context.variables).atom_sign
+        sign = context.space.atom_sign
         for atom, value in enumerate(context.distribution):
             partial = {name: sign(atom, name) for name in context.variables}
             rows.append((partial, value))

@@ -6,9 +6,10 @@ Conventions
   full assignment of +1/-1 to the variables.
 * Atom index encoding: bit ``i`` of the index is set exactly when variable
   ``i`` takes the value +1.  The first variable is the least significant bit.
-* A *partial assignment* is a mapping ``{variable name: +1 or -1}``.  Its
-  *cylinder* is the event of all atoms agreeing with it on every listed
-  variable; the empty assignment yields the full space.
+* A *partial assignment* is a mapping ``{variable name: +1 or -1}``; the
+  signs are ints, and bools and floats are refused.  Its *cylinder* is the
+  event of all atoms agreeing with it on every listed variable; the empty
+  assignment yields the full space.
 * All masses are exact ``fractions.Fraction`` values.  Floats are rejected
   at the boundary rather than silently converted, because every downstream
   result (feasibility verdicts, minimum norms, conditionals) is meant to be
@@ -22,7 +23,7 @@ functions, so concurrent use on shared inputs is safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -68,12 +69,9 @@ class SampleSpace:
         for name in self.variables:
             if not isinstance(name, str) or not name:
                 raise InvalidName(f"bad variable name {name!r}")
-        if len(set(self.variables)) != len(self.variables):
-            seen: set[str] = set()
-            for name in self.variables:
-                if name in seen:
-                    raise DuplicateName(f"variable {name!r} listed twice")
-                seen.add(name)
+        for i, name in enumerate(self.variables):
+            if name in self.variables[:i]:
+                raise DuplicateName(f"variable {name!r} listed twice")
         if len(self.variables) > MAX_VARIABLES:
             raise TooManyVariables(
                 f"{len(self.variables)} variables exceed the "
@@ -102,6 +100,19 @@ class SampleSpace:
         return "".join(
             "+" if atom >> i & 1 else "-" for i in range(len(self.variables))
         )
+
+    def atom_from_label(self, label: str) -> int:
+        """Inverse of :meth:`atom_label`: the atom a +/- string spells."""
+        if (
+            not isinstance(label, str)
+            or len(label) != len(self.variables)
+            or label.strip("+-")
+        ):
+            raise InvalidAssignment(
+                f"label {label!r} must spell one +/- per variable "
+                f"in order {self.variables}"
+            )
+        return sum(1 << i for i, ch in enumerate(label) if ch == "+")
 
     def atoms(self) -> range:
         return range(self.atom_count)
@@ -173,32 +184,36 @@ class Event:
         return f"Event({{{', '.join(labels)}}})"
 
 
+def _mask_want(
+    space: SampleSpace, partial: Mapping[str, int]
+) -> tuple[int, int]:
+    """Bits a partial assignment fixes, and which of them it sets to +1.
+
+    The one sign check: a sign is the int +1 or -1; bools and floats are
+    refused like any other value.
+    """
+    mask = 0
+    want = 0
+    for name, sign in partial.items():
+        bit = 1 << space.position(name)
+        if type(sign) is not int or sign not in (+1, -1):
+            raise InvalidAssignment(
+                f"assignment for {name!r} must be +1 or -1, got {sign!r}"
+            )
+        mask |= bit
+        if sign == +1:
+            want |= bit
+    return mask, want
+
+
 def cylinder(space: SampleSpace, partial: Mapping[str, int]) -> Event:
     """Event of all atoms agreeing with a partial assignment.
 
     The empty assignment gives the full space; a full assignment gives a
     singleton.
     """
-    mask = 0
-    want = 0
-    for name, sign in partial.items():
-        pos = space.position(name)
-        if sign not in (+1, -1):
-            raise InvalidAssignment(
-                f"assignment for {name!r} must be +1 or -1, got {sign!r}"
-            )
-        mask |= 1 << pos
-        if sign == +1:
-            want |= 1 << pos
-    free = [i for i in range(len(space.variables)) if not mask >> i & 1]
-    atoms = set()
-    for combo in range(1 << len(free)):
-        atom = want
-        for k, pos in enumerate(free):
-            if combo >> k & 1:
-                atom |= 1 << pos
-        atoms.add(atom)
-    return Event(space, frozenset(atoms))
+    mask, want = _mask_want(space, partial)
+    return Event.of(space, (a for a in space.atoms() if a & mask == want))
 
 
 @dataclass(frozen=True)
@@ -240,56 +255,38 @@ class Context:
     """A proper probability distribution over a subset of the variables.
 
     ``distribution`` is dense over the ``2**k`` assignments of
-    ``variables``, in the same bit encoding used by :class:`SampleSpace`
-    (bit i set means variable i equals +1).
+    ``variables``, in the atom order of ``space``, the sample space over
+    ``variables`` (bit i set means variable i equals +1).
     """
 
     variables: tuple[str, ...]
     distribution: tuple[Fraction, ...]
+    space: SampleSpace = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "variables", tuple(self.variables))
-        object.__setattr__(
-            self,
-            "distribution",
-            tuple(as_fraction(p) for p in self.distribution),
-        )
-        if not self.variables:
-            raise InvalidName("a context needs at least one variable")
-        if len(set(self.variables)) != len(self.variables):
-            raise DuplicateName("context variables must be distinct")
-        if len(self.distribution) != 1 << len(self.variables):
+        space = build_space(self.variables)
+        distribution = tuple(self.distribution)
+        if len(distribution) != space.atom_count:
             raise ImproperDistribution(
-                f"expected {1 << len(self.variables)} masses, "
-                f"got {len(self.distribution)}"
+                f"expected {space.atom_count} masses, got {len(distribution)}"
             )
-        for p in self.distribution:
-            if p < 0:
-                raise ImproperDistribution(f"negative context mass {p}")
-        if sum(self.distribution) != 1:
+        joint = SignedMeasure(space, distribution)
+        violations = validate_kolmogorov(joint)
+        if violations:
             raise ImproperDistribution(
-                f"context masses sum to {sum(self.distribution)}, not 1"
+                "; ".join(v.detail for v in violations)
             )
+        object.__setattr__(self, "variables", space.variables)
+        object.__setattr__(self, "distribution", joint.mass)
+        object.__setattr__(self, "space", space)
 
     def partial_mass(self, partial: Mapping[str, int]) -> Fraction:
         """Probability the context assigns to a partial assignment."""
-        positions = []
-        for name, sign in partial.items():
-            if name not in self.variables:
-                raise UnknownVariable(
-                    f"variable {name!r} not in context over {self.variables}"
-                )
-            if sign not in (+1, -1):
-                raise InvalidAssignment(
-                    f"assignment for {name!r} must be +1 or -1, got {sign!r}"
-                )
-            positions.append((self.variables.index(name), sign))
-        total = Fraction(0)
-        for atom, p in enumerate(self.distribution):
-            if all((1 if atom >> pos & 1 else -1) == sign
-                   for pos, sign in positions):
-                total += p
-        return total
+        mask, want = _mask_want(self.space, partial)
+        return sum(
+            (p for a, p in enumerate(self.distribution) if a & mask == want),
+            Fraction(0),
+        )
 
 
 @dataclass(frozen=True)
@@ -341,10 +338,8 @@ def marginalize(m: SignedMeasure, variables: Iterable[str]) -> SignedMeasure:
     positions = [m.space.position(v) for v in kept]
     mass = [Fraction(0)] * sub.atom_count
     for atom, value in enumerate(m.mass):
-        sub_atom = 0
-        for k, pos in enumerate(positions):
-            if atom >> pos & 1:
-                sub_atom |= 1 << k
+        label = m.space.atom_label(atom)
+        sub_atom = sub.atom_from_label("".join(label[p] for p in positions))
         mass[sub_atom] += value
     return SignedMeasure(sub, tuple(mass))
 

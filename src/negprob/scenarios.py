@@ -53,66 +53,63 @@ def mz_space() -> SampleSpace:
     return build_space(MZ_VARIABLES)
 
 
-def _dense(variables: tuple[str, ...], entries: dict[tuple[int, ...], Fraction]):
-    size = 1 << len(variables)
-    mass = [Fraction(0)] * size
-    for signs, value in entries.items():
-        atom = 0
-        for k, sign in enumerate(signs):
-            if sign == +1:
-                atom |= 1 << k
-        mass[atom] = value
-    return tuple(mass)
+def _from_labels(
+    variables: tuple[str, ...], entries: dict[str, Fraction]
+) -> SignedMeasure:
+    """Masses from a table keyed by atom labels; unlisted atoms get 0."""
+    space = build_space(variables)
+    atoms = {space.atom_from_label(label): v for label, v in entries.items()}
+    return SignedMeasure.from_sparse(space, atoms)
 
 
-# Case distributions.  Sign tuples follow the variable order given next to
+# Case distributions.  Atom labels follow the variable order given next to
 # each case; cases differ in which path detectors are present and whether
 # they absorb the photon.
-_CASES: dict[int, tuple[tuple[str, ...], dict[tuple[int, ...], Fraction]]] = {
+_CASES: dict[int, tuple[tuple[str, ...], dict[str, Fraction]]] = {
     # both arms open, no path detectors: all output at D1
-    1: (("D1", "D2"), {(+1, -1): Fraction(1)}),
+    1: (("D1", "D2"), {"+-": Fraction(1)}),
     # absorbing detector on arm a: it eats half; the rest splits evenly
     2: (
         ("Da", "D1", "D2"),
-        {(-1, +1, -1): _HALF, (-1, -1, +1): _HALF},
+        {"-+-": _HALF, "--+": _HALF},
     ),
     # absorbing detector on arm b
     3: (
         ("Db", "D1", "D2"),
-        {(-1, +1, -1): _HALF, (-1, -1, +1): _HALF},
+        {"-+-": _HALF, "--+": _HALF},
     ),
     # absorbing detectors on both arms: photon never reaches the output
     4: (
         ("Da", "Db", "D1", "D2"),
-        {(-1, +1, -1, -1): _HALF, (+1, -1, -1, -1): _HALF},
+        {"-+--": _HALF, "+---": _HALF},
     ),
     # same geometries with non-destructive path detectors
-    5: (("D1", "D2"), {(+1, -1): Fraction(1)}),
+    5: (("D1", "D2"), {"+-": Fraction(1)}),
     6: (
         ("Da", "D1", "D2"),
         {
-            (+1, +1, -1): _QUARTER,
-            (+1, -1, +1): _QUARTER,
-            (-1, +1, -1): _QUARTER,
-            (-1, -1, +1): _QUARTER,
+            "++-": _QUARTER,
+            "+-+": _QUARTER,
+            "-+-": _QUARTER,
+            "--+": _QUARTER,
         },
     ),
     7: (
         ("Db", "D1", "D2"),
         {
-            (+1, +1, -1): _QUARTER,
-            (+1, -1, +1): _QUARTER,
-            (-1, +1, -1): _QUARTER,
-            (-1, -1, +1): _QUARTER,
+            "++-": _QUARTER,
+            "+-+": _QUARTER,
+            "-+-": _QUARTER,
+            "--+": _QUARTER,
         },
     ),
     8: (
         ("Da", "Db", "D1", "D2"),
         {
-            (-1, +1, -1, +1): _QUARTER,
-            (-1, +1, +1, -1): _QUARTER,
-            (+1, -1, -1, +1): _QUARTER,
-            (+1, -1, +1, -1): _QUARTER,
+            "-+-+": _QUARTER,
+            "-++-": _QUARTER,
+            "+--+": _QUARTER,
+            "+-+-": _QUARTER,
         },
     ),
 }
@@ -123,7 +120,7 @@ def mach_zehnder_case(n: int) -> ContextFamily:
     if n not in _CASES:
         raise InvalidCase(f"case must be 1..8, got {n!r}")
     variables, entries = _CASES[n]
-    context = Context(variables, _dense(variables, entries))
+    context = Context(variables, _from_labels(variables, entries).mass)
     return ContextFamily(variables, (context,))
 
 
@@ -197,26 +194,26 @@ def mz_general_member(
     g = as_fraction(gamma)
     d = as_fraction(delta)
     t = as_fraction(theta)
-    # sign tuples ordered (Da, Db, D1, D2)
-    table: dict[tuple[int, int, int, int], Fraction] = {
-        (+1, +1, +1, +1): a,
-        (+1, +1, +1, -1): t + (d - g + b - a) / 2,
-        (+1, +1, -1, +1): -_HALF - t,
-        (+1, +1, -1, -1): _HALF + (-d + g - b - a) / 2,
-        (+1, -1, +1, +1): (-d - g + b - a) / 2,
-        (+1, -1, +1, -1): _HALF - t + (-d + g - b + a) / 2,
-        (+1, -1, -1, +1): t,
-        (+1, -1, -1, -1): d,
-        (-1, +1, +1, +1): (d - g - b - a) / 2,
-        (-1, +1, +1, -1): _HALF - t + (-d + g - b + a) / 2,
-        (-1, +1, -1, +1): t,
-        (-1, +1, -1, -1): b,
-        (-1, -1, +1, +1): g,
-        (-1, -1, +1, -1): t + (d - g + b - a) / 2,
-        (-1, -1, -1, +1): _HALF - t,
-        (-1, -1, -1, -1): -_HALF + (-d - g - b + a) / 2,
+    # atom labels ordered (Da, Db, D1, D2)
+    table: dict[str, Fraction] = {
+        "++++": a,
+        "+++-": t + (d - g + b - a) / 2,
+        "++-+": -_HALF - t,
+        "++--": _HALF + (-d + g - b - a) / 2,
+        "+-++": (-d - g + b - a) / 2,
+        "+-+-": _HALF - t + (-d + g - b + a) / 2,
+        "+--+": t,
+        "+---": d,
+        "-+++": (d - g - b - a) / 2,
+        "-++-": _HALF - t + (-d + g - b + a) / 2,
+        "-+-+": t,
+        "-+--": b,
+        "--++": g,
+        "--+-": t + (d - g + b - a) / 2,
+        "---+": _HALF - t,
+        "----": -_HALF + (-d - g - b + a) / 2,
     }
-    return SignedMeasure(mz_space(), _dense(MZ_VARIABLES, table))
+    return _from_labels(MZ_VARIABLES, table)
 
 
 def mz_family_member(alpha: object) -> SignedMeasure:

@@ -264,18 +264,15 @@ def _phase2(
     tab: list[list[Fraction]],
     rhs: list[Fraction],
     basis: list[int],
-    cost: Sequence[Fraction],
 ) -> tuple[Fraction, list[Fraction]]:
-    """min cost·x from a feasible basis of real columns; (value, x)."""
-    n = len(cost)
+    """min sum(x) from a feasible basis of real columns; (value, x)."""
+    n = len(tab[0])
     zero = Fraction(0)
-    cost_row = [Fraction(c) for c in cost] + [zero]
+    cost_row = [Fraction(1)] * n + [zero]
     for i, row in enumerate(tab):
-        basic_cost = cost[basis[i]]
-        if basic_cost != 0:
-            for j in range(n):
-                cost_row[j] -= basic_cost * row[j]
-            cost_row[-1] -= basic_cost * rhs[i]
+        for j in range(n):
+            cost_row[j] -= row[j]
+        cost_row[-1] -= rhs[i]
     _bland_iterate(tab, rhs, cost_row, basis)
 
     x = [zero] * n
@@ -316,9 +313,10 @@ def feasible_proper(cs: ConstraintSystem) -> SignedMeasure | None:
     tab, rhs, cost_row, basis = _phase1(*_system_matrix(cs))
     if cost_row[-1] != 0:
         return None
-    tab, rhs, basis = _drop_redundant(tab, rhs, cost_row, basis, n)
-    _, x = _phase2(tab, rhs, basis, [Fraction(0)] * n)
-    return SignedMeasure(cs.space, tuple(x))
+    # Artificials left in the basis sit at 0, so the real basic columns
+    # already spell the witness.
+    x = {col: rhs[i] for i, col in enumerate(basis) if col < n}
+    return SignedMeasure.from_sparse(cs.space, x)
 
 
 def minimize_l1(cs: ConstraintSystem) -> SolveResult:
@@ -339,7 +337,7 @@ def minimize_l1(cs: ConstraintSystem) -> SolveResult:
     rank = len(tab)
     if not feasible:
         return SolveResult(SolveStatus.INFEASIBLE, None, None, rank, n - rank)
-    value, x = _phase2(tab, rhs, basis, [Fraction(1)] * (2 * n))
+    value, x = _phase2(tab, rhs, basis)
     mass = tuple(x[j] - x[n + j] for j in range(n))
     witness = SignedMeasure(cs.space, mass)
     status = (

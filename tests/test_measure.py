@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from negprob import (
+    Context,
     DuplicateName,
     Event,
     InvalidAssignment,
@@ -65,6 +66,15 @@ def test_atom_labels_first_variable_least_significant():
     assert [space.atom_label(a) for a in space.atoms()] == [
         "--", "+-", "-+", "++",
     ]
+    assert space.atom_from_label("+-") == 1
+    # label -> atom inverts atom -> label on every atom
+    for n in range(1, 6):
+        wide = build_space(tuple(f"v{i}" for i in range(n)))
+        for atom in wide.atoms():
+            assert wide.atom_from_label(wide.atom_label(atom)) == atom
+    for bad in ("+", "+-+", "+0", "ab", 1, None, ("+", "-")):
+        with pytest.raises(InvalidAssignment):
+            space.atom_from_label(bad)
 
 
 # -- events ----------------------------------------------------------------
@@ -82,8 +92,31 @@ def test_cylinder_rejects_unknown_variable():
 
 
 def test_cylinder_rejects_bad_sign():
-    with pytest.raises(InvalidAssignment):
-        cylinder(MZ, {"D1": 0})
+    context = Context(("D1",), (Fraction(1, 2), Fraction(1, 2)))
+    for sign in (0, 2, True, False, 1.0, -1.0, "+"):
+        with pytest.raises(InvalidAssignment):
+            cylinder(MZ, {"D1": sign})
+        with pytest.raises(InvalidAssignment):
+            context.partial_mass({"D1": sign})
+
+
+@st.composite
+def spaces_and_partials(draw):
+    n = draw(st.integers(1, 6))
+    space = build_space(tuple(f"v{i}" for i in range(n)))
+    names = draw(st.lists(st.sampled_from(space.variables), unique=True))
+    return space, {name: draw(st.sampled_from((1, -1))) for name in names}
+
+
+@given(spaces_and_partials())
+def test_cylinder_matches_brute_force(case):
+    space, partial = case
+    expected = {
+        atom
+        for atom in space.atoms()
+        if all(space.atom_sign(atom, v) == s for v, s in partial.items())
+    }
+    assert cylinder(space, partial).atoms == expected
 
 
 def test_event_algebra():
