@@ -132,11 +132,11 @@ class Event:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "atoms", frozenset(self.atoms))
+        count = self.space.atom_count
         for atom in self.atoms:
-            if not 0 <= atom < self.space.atom_count:
+            if not 0 <= atom < count:
                 raise ValueError(
-                    f"atom index {atom} outside space of "
-                    f"{self.space.atom_count} atoms"
+                    f"atom index {atom} outside space of {count} atoms"
                 )
 
     @classmethod

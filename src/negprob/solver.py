@@ -9,14 +9,21 @@ answered, all over exact rationals with no tolerances anywhere:
 * what is the minimum of the L1 norm over all signed solutions, with a
   witness measure attaining it.
 
-The optimizer is a dense two-phase primal simplex over ``Fraction``
-entries.  Bland's rule (lowest eligible index enters, ties on the leaving
-row broken by lowest basis index) guarantees termination and makes every
-returned witness deterministic.  The L1 objective is handled by the
-standard variable split x = xp - xn with xp, xn >= 0 and cost 1 on both
-halves; at any optimal basis the two halves of one atom are never both
-basic (their columns are negatives of each other), so the objective value
-equals the L1 norm of the reconstructed solution exactly.
+The optimizer is a two-phase revised primal simplex.  It keeps an exact
+m x m ``Fraction`` basis inverse for the m rows and stores no column: an
+atom's column is read off the rows whose event contains it.  Reduced
+costs are exact integers, from the simplex multipliers scaled by the lcm
+of their denominators.  Bland's rule (lowest eligible
+index enters, ties on the leaving row broken by lowest basis index)
+guarantees termination and makes every returned witness deterministic.
+Each decision reads only entries of B^-1 A and the reduced costs, which
+the basis alone fixes, so from the same start basis and column order
+this solver visits exactly the bases a dense tableau would, and returns
+the same witness.  The L1 objective is handled by the standard variable
+split x = xp - xn with xp, xn >= 0 and cost 1 on both halves; at any
+optimal basis the two halves of one atom are never both basic (their
+columns are negatives of each other), so the objective value equals the
+L1 norm of the reconstructed solution exactly.
 """
 
 from __future__ import annotations
@@ -24,7 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from math import lcm
+from typing import Iterable, Mapping
 
 from .errors import (
     ContradictoryRows,
@@ -136,66 +144,126 @@ def rank_nullity(cs: ConstraintSystem) -> tuple[int, int]:
     Every row starts on an artificial basis, so the simplex's drop step
     is plain row reduction here.
     """
-    n = cs.space.atom_count
-    tab, b = _system_matrix(cs)
-    basis = [n + i for i in range(len(tab))]
-    tab, _, _ = _drop_redundant(tab, b, [Fraction(0)] * (n + 1), basis, n)
-    return len(tab), n - len(tab)
+    lp = _RevisedLP(cs, split=False)
+    _drop_redundant(lp)
+    return len(lp.basis), cs.space.atom_count - len(lp.basis)
 
 
 # --- simplex internals ---------------------------------------------------
 
 
-def _pivot(
-    tab: list[list[Fraction]],
-    rhs: list[Fraction],
-    cost_row: list[Fraction],
-    basis: list[int],
-    row: int,
-    col: int,
-) -> None:
-    inv = 1 / tab[row][col]
-    tab[row] = [x * inv for x in tab[row]]
-    rhs[row] *= inv
-    for i in range(len(tab)):
-        if i != row and tab[i][col] != 0:
-            factor = tab[i][col]
-            tab[i] = [x - factor * y for x, y in zip(tab[i], tab[row])]
-            rhs[i] -= factor * rhs[row]
-    factor = cost_row[col]
-    if factor != 0:
-        for j in range(len(tab[row])):
-            cost_row[j] -= factor * tab[row][j]
-        cost_row[-1] -= factor * rhs[row]
-    basis[row] = col
+class _RevisedLP:
+    """Basis inverse binv, basic values rhs and basis for A x = b, x >= 0.
+
+    Real column j is atom j mod N, negated for j >= N (the split's minus
+    half); atom a has a 1 on each row in rows_of[a].  The artificial of
+    row r is column ncols + r, flip_r * e_r with flip_r = -1 on a negative
+    value: flipping the row instead gives the same tableau B^-1 A.
+    """
+
+    def __init__(self, cs: ConstraintSystem, split: bool) -> None:
+        self.n = cs.space.atom_count
+        self.ncols = 2 * self.n if split else self.n
+        self.rows_of: list[list[int]] = [[] for _ in range(self.n)]
+        for r, (event, _) in enumerate(cs.rows):
+            for atom in event.atoms:
+                self.rows_of[atom].append(r)
+        self.flip = [-1 if value < 0 else 1 for _, value in cs.rows]
+        self.binv = [
+            [Fraction(f if k == r else 0) for k in range(len(self.flip))]
+            for r, f in enumerate(self.flip)
+        ]
+        self.rhs = [abs(value) for _, value in cs.rows]
+        self.basis = [self.ncols + r for r in range(len(self.flip))]
+
+    def column(self, j: int) -> list[Fraction]:
+        """Tableau column j, B^-1 times column j of [A | flips]."""
+        if j >= self.ncols:
+            r = j - self.ncols
+            return [self.flip[r] * row[r] for row in self.binv]
+        rows = self.rows_of[j % self.n]
+        col = [sum(map(row.__getitem__, rows)) for row in self.binv]
+        return col if j < self.n else [-x for x in col]
+
+    def entering(self, phase1: bool) -> int:
+        """First column in Bland order with negative reduced cost, or -1.
+
+        Phase 1 costs the artificials 1 and the real columns 0; phase 2
+        costs the real columns 1 and prices no artificial.  With Y the
+        integer multipliers scale * c_B B^-1, atom a's price is the sum of
+        Y over rows_of[a], against the cost in the same scale.
+        """
+        costed = [
+            row
+            for row, col in zip(self.binv, self.basis)
+            if col >= self.ncols or not phase1
+        ]
+        if not costed:
+            return -1
+        scale, big_y = _scaled_sum(costed)
+        cost = 0 if phase1 else scale
+        first_minus = -1
+        for atom, rows in enumerate(self.rows_of):
+            w = sum(map(big_y.__getitem__, rows))
+            if w > cost:
+                return atom
+            if w < -cost and first_minus < 0:
+                first_minus = atom
+        if self.ncols > self.n and first_minus >= 0:
+            return self.n + first_minus
+        if phase1:
+            for r, (f, yr) in enumerate(zip(self.flip, big_y)):
+                if f * yr > scale:
+                    return self.ncols + r
+        return -1
+
+    def first_real(self, i: int) -> int:
+        """First real column with a nonzero in tableau row i, or -1."""
+        _, ints = _scaled_sum([self.binv[i]])
+        for atom, rows in enumerate(self.rows_of):
+            if sum(map(ints.__getitem__, rows)):
+                return atom
+        return -1
+
+    def pivot(self, row: int, j: int, col: list[Fraction]) -> None:
+        inv = 1 / col[row]
+        prow = self.binv[row] = [x * inv for x in self.binv[row]]
+        self.rhs[row] *= inv
+        nonzero = [k for k, x in enumerate(prow) if x]
+        for i, factor in enumerate(col):
+            if i != row and factor:
+                target = self.binv[i]
+                for k in nonzero:
+                    target[k] -= factor * prow[k]
+                self.rhs[i] -= factor * self.rhs[row]
+        self.basis[row] = j
 
 
-def _bland_iterate(
-    tab: list[list[Fraction]],
-    rhs: list[Fraction],
-    cost_row: list[Fraction],
-    basis: list[int],
-) -> None:
+def _scaled_sum(rows: list[list[Fraction]]) -> tuple[int, list[int]]:
+    """(scale, Y) with Y the column sums of rows times scale, all integers."""
+    scale = lcm(*(q.denominator for row in rows for q in row))
+    return scale, [
+        sum(q.numerator * (scale // q.denominator) for q in entries)
+        for entries in zip(*rows)
+    ]
+
+
+def _bland_iterate(lp: _RevisedLP, phase1: bool) -> None:
     """Primal simplex to optimality; Bland's rule, so it always halts."""
-    ncols = len(cost_row) - 1
     while True:
-        enter = -1
-        for j in range(ncols):
-            if cost_row[j] < 0:
-                enter = j
-                break
+        enter = lp.entering(phase1)
         if enter < 0:
             return
+        col = lp.column(enter)
         leave = -1
         best: Fraction | None = None
-        for i in range(len(tab)):
-            coef = tab[i][enter]
+        for i, coef in enumerate(col):
             if coef > 0:
-                ratio = rhs[i] / coef
+                ratio = lp.rhs[i] / coef
                 if (
                     best is None
                     or ratio < best
-                    or (ratio == best and basis[i] < basis[leave])
+                    or (ratio == best and lp.basis[i] < lp.basis[leave])
                 ):
                     best = ratio
                     leave = i
@@ -203,95 +271,42 @@ def _bland_iterate(
             # cannot happen for the L1 and feasibility programs solved
             # here (both objectives are bounded below), kept defensive
             raise ArithmeticError("linear program unbounded below")
-        _pivot(tab, rhs, cost_row, basis, leave, enter)
+        lp.pivot(leave, enter, col)
 
 
-def _phase1(
-    a_rows: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
-) -> tuple[list[list[Fraction]], list[Fraction], list[Fraction], list[int]]:
-    """Phase 1 for Ax = b, x >= 0, one artificial per row.
-
-    Returns (tab, rhs, cost_row, basis); x >= 0 exists iff cost_row[-1] is 0.
-    """
-    m = len(a_rows)
-    n = len(a_rows[0])
-    zero = Fraction(0)
-    one = Fraction(1)
-    tab: list[list[Fraction]] = []
-    rhs = [Fraction(v) for v in b]
-    for i, row in enumerate(a_rows):
-        if rhs[i] < 0:
-            row, rhs[i] = [-x for x in row], -rhs[i]
-        tab.append([*row, *(one if k == i else zero for k in range(m))])
-    basis = [n + i for i in range(m)]
-    cost_row = [zero] * (n + m + 1)
-    for j in range(n, n + m):
-        cost_row[j] = one
-    for i in range(m):
-        for j in range(n + m):
-            cost_row[j] -= tab[i][j]
-        cost_row[-1] -= rhs[i]
-    _bland_iterate(tab, rhs, cost_row, basis)
-    return tab, rhs, cost_row, basis
-
-
-def _drop_redundant(
-    tab: list[list[Fraction]],
-    rhs: list[Fraction],
-    cost_row: list[Fraction],
-    basis: list[int],
-    n: int,
-) -> tuple[list[list[Fraction]], list[Fraction], list[int]]:
-    """Pivot artificials (basis >= n) out onto their row's first nonzero
-    real column, dropping rows with no such column as redundant.  Returns
-    the kept rows cut to n columns; their count is the rank."""
-    keep: list[int] = []
-    for i in range(len(tab)):
-        if basis[i] >= n:
-            col = next((j for j in range(n) if tab[i][j] != 0), -1)
-            if col < 0:
-                continue
-            _pivot(tab, rhs, cost_row, basis, i, col)
-        keep.append(i)
-    return (
-        [tab[i][:n] for i in keep],
-        [rhs[i] for i in keep],
-        [basis[i] for i in keep],
+def _phase1(cs: ConstraintSystem, split: bool) -> tuple[_RevisedLP, bool]:
+    """Phase 1 from the all-artificial basis; (state, x >= 0 exists)."""
+    lp = _RevisedLP(cs, split)
+    _bland_iterate(lp, phase1=True)
+    return lp, not any(
+        value for col, value in zip(lp.basis, lp.rhs) if col >= lp.ncols
     )
 
 
-def _phase2(
-    tab: list[list[Fraction]],
-    rhs: list[Fraction],
-    basis: list[int],
-) -> tuple[Fraction, list[Fraction]]:
-    """min sum(x) from a feasible basis of real columns; (value, x)."""
-    n = len(tab[0])
-    zero = Fraction(0)
-    cost_row = [Fraction(1)] * n + [zero]
-    for i, row in enumerate(tab):
-        for j in range(n):
-            cost_row[j] -= row[j]
-        cost_row[-1] -= rhs[i]
-    _bland_iterate(tab, rhs, cost_row, basis)
-
-    x = [zero] * n
-    for i in range(len(tab)):
-        x[basis[i]] = rhs[i]
-    return -cost_row[-1], x
+def _drop_redundant(lp: _RevisedLP) -> None:
+    """Pivot artificials out onto their row's first nonzero real column,
+    dropping rows with no such column as redundant.  The kept rows'
+    count is the rank."""
+    keep: list[int] = []
+    for i in range(len(lp.basis)):
+        if lp.basis[i] >= lp.ncols:
+            col = lp.first_real(i)
+            if col < 0:
+                continue
+            lp.pivot(i, col, lp.column(col))
+        keep.append(i)
+    lp.binv = [lp.binv[i] for i in keep]
+    lp.rhs = [lp.rhs[i] for i in keep]
+    lp.basis = [lp.basis[i] for i in keep]
 
 
-def _system_matrix(
-    cs: ConstraintSystem,
-) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """The 0/1 row matrix over the atoms, and the row values."""
-    a_rows = []
-    for event, _ in cs.rows:
-        row = [Fraction(0)] * cs.space.atom_count
-        for atom in event.atoms:
-            row[atom] = Fraction(1)
-        a_rows.append(row)
-    return a_rows, [value for _, value in cs.rows]
+def _phase2(lp: _RevisedLP) -> tuple[Fraction, list[Fraction]]:
+    """min sum(x) from a feasible basis of real columns; (value, xp - xn)."""
+    _bland_iterate(lp, phase1=False)
+    mass = [Fraction(0)] * lp.n
+    for col, value in zip(lp.basis, lp.rhs):
+        mass[col % lp.n] += value if col < lp.n else -value
+    return sum(lp.rhs, Fraction(0)), mass
 
 
 def _require_normalization(cs: ConstraintSystem) -> None:
@@ -309,13 +324,12 @@ def feasible_proper(cs: ConstraintSystem) -> SignedMeasure | None:
     rows may still admit signed solutions.
     """
     _require_normalization(cs)
-    n = cs.space.atom_count
-    tab, rhs, cost_row, basis = _phase1(*_system_matrix(cs))
-    if cost_row[-1] != 0:
+    lp, feasible = _phase1(cs, split=False)
+    if not feasible:
         return None
     # Artificials left in the basis sit at 0, so the real basic columns
     # already spell the witness.
-    x = {col: rhs[i] for i, col in enumerate(basis) if col < n}
+    x = {col: v for col, v in zip(lp.basis, lp.rhs) if col < lp.ncols}
     return SignedMeasure.from_sparse(cs.space, x)
 
 
@@ -329,16 +343,12 @@ def minimize_l1(cs: ConstraintSystem) -> SolveResult:
     """
     _require_normalization(cs)
     n = cs.space.atom_count
-    a_rows, b = _system_matrix(cs)
-    split = [row + [-x for x in row] for row in a_rows]
-    tab, rhs, cost_row, basis = _phase1(split, b)
-    feasible = cost_row[-1] == 0
-    tab, rhs, basis = _drop_redundant(tab, rhs, cost_row, basis, 2 * n)
-    rank = len(tab)
+    lp, feasible = _phase1(cs, split=True)
+    _drop_redundant(lp)
+    rank = len(lp.basis)
     if not feasible:
         return SolveResult(SolveStatus.INFEASIBLE, None, None, rank, n - rank)
-    value, x = _phase2(tab, rhs, basis)
-    mass = tuple(x[j] - x[n + j] for j in range(n))
+    value, mass = _phase2(lp)
     witness = SignedMeasure(cs.space, mass)
     status = (
         SolveStatus.PROPER_FEASIBLE

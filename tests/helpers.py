@@ -41,21 +41,23 @@ _VALUE_POOL = [
     Fraction(3, 2),
 ]
 
-_NAMES = ("X", "Y", "Z")
+_NAMES = ("X", "Y", "Z", "W")
 
 
-def random_small_system(rng: random.Random) -> ConstraintSystem:
-    """Random solvable-or-not system over at most three variables.
+def random_small_system(
+    rng: random.Random, max_vars: int = 3, max_rows: int = 4
+) -> ConstraintSystem:
+    """Random solvable-or-not system over at most max_vars variables.
 
     The value pool includes negatives and values above 1 so all three
     solve statuses occur.  Draws that hit a contradictory duplicate event
     are rejected and retried.
     """
     while True:
-        n_vars = rng.randint(1, 3)
+        n_vars = rng.randint(1, max_vars)
         space = build_space(_NAMES[:n_vars])
         rows = []
-        for _ in range(rng.randint(0, 4)):
+        for _ in range(rng.randint(0, max_rows)):
             subset = [v for v in _NAMES[:n_vars] if rng.random() < 0.6]
             partial = {v: rng.choice((1, -1)) for v in subset}
             rows.append((partial, rng.choice(_VALUE_POOL)))

@@ -4,9 +4,14 @@
 every built-in in both formats, of each file subcommand on the scenario
 documents next to it, and of a few rejected commands.
 ``tests/golden/ncycles.json`` holds status, M*, rank/nullity and witness
-masses for the n-cycle families n = 3..8.  Both were captured from the
-solver before any refactor; a change that moves one byte of them changes
-the Bland path or the rendering and must say so.
+masses for the n-cycle families n = 3..10.  ``tests/golden/witnesses.json``
+holds the ``minimize_l1`` status, M*, rank and witness and the
+``feasible_proper`` witness (or null) of every built-in and of 200 seeded
+random systems, whose negative row values exercise the row-flip path;
+the 100 on up to four variables and eight rows include degenerate ties
+that the leaving row's tie-break decides.
+All were captured from the dense-tableau solver; a change that moves one
+byte of them changes the Bland path or the rendering and must say so.
 
 To rewrite the data (only from a commit whose outputs are trusted):
 
@@ -17,6 +22,7 @@ from __future__ import annotations
 
 import io
 import json
+import random
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -24,13 +30,19 @@ from pathlib import Path
 import pytest
 
 from negprob import (
+    ConstraintSystem,
     Context,
     ContextFamily,
+    SignedMeasure,
     family_system,
+    feasible_proper,
     minimize_l1,
     rank_nullity,
 )
 from negprob.cli import run
+from negprob.scenarios import builtin_bundle
+
+from helpers import random_small_system
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -120,6 +132,17 @@ def ncycle(n: int) -> ContextFamily:
     return ContextFamily(names, tuple(contexts))
 
 
+def masses(m: SignedMeasure | None) -> dict[str, str] | None:
+    """Nonzero masses keyed by atom label, or None for no measure."""
+    if m is None:
+        return None
+    return {
+        m.space.atom_label(atom): str(mass)
+        for atom, mass in enumerate(m.mass)
+        if mass != 0
+    }
+
+
 def ncycle_solve(n: int) -> dict:
     system = family_system(ncycle(n))
     result = minimize_l1(system)
@@ -129,11 +152,37 @@ def ncycle_solve(n: int) -> dict:
         "rank": result.rank,
         "nullity": result.nullity,
         "rank_nullity": list(rank_nullity(system)),
-        "witness": {
-            system.space.atom_label(atom): str(mass)
-            for atom, mass in enumerate(result.witness.mass)
-            if mass != 0
-        },
+        "witness": masses(result.witness),
+    }
+
+
+def witness_systems() -> dict[str, ConstraintSystem]:
+    """The 13 built-ins with default parameters, then 200 random systems."""
+    systems = {}
+    for name in BUILTINS:
+        payload = builtin_bundle(name, {}).payload
+        systems[name] = (
+            payload
+            if isinstance(payload, ConstraintSystem)
+            else family_system(payload)
+        )
+    rng = random.Random(4)
+    for k in range(100):
+        systems[f"random-{k}"] = random_small_system(rng)
+    rng = random.Random(6)
+    for k in range(100):
+        systems[f"random4-{k}"] = random_small_system(rng, 4, 8)
+    return systems
+
+
+def witness_solve(system: ConstraintSystem) -> dict:
+    result = minimize_l1(system)
+    return {
+        "status": result.status.value,
+        "mstar": None if result.mstar is None else str(result.mstar),
+        "rank": result.rank,
+        "witness": masses(result.witness),
+        "proper": masses(feasible_proper(system)),
     }
 
 
@@ -144,6 +193,8 @@ def load(name: str) -> dict:
 WRITING = __name__ == "__main__"
 CLI_GOLDEN = {} if WRITING else load("cli.json")
 NCYCLE_GOLDEN = {} if WRITING else load("ncycles.json")
+WITNESS_GOLDEN = {} if WRITING else load("witnesses.json")
+SYSTEMS = witness_systems()
 
 
 def test_golden_covers_every_command():
@@ -159,9 +210,18 @@ def test_cli_output_matches_golden(key):
     assert got["stderr"] == expected["stderr"]
 
 
-@pytest.mark.parametrize("n", range(3, 9))
+@pytest.mark.parametrize("n", range(3, 11))
 def test_ncycle_solve_matches_golden(n):
     assert ncycle_solve(n) == NCYCLE_GOLDEN[str(n)]
+
+
+def test_witness_golden_covers_every_system():
+    assert list(WITNESS_GOLDEN) == list(SYSTEMS)
+
+
+@pytest.mark.parametrize("key", list(WITNESS_GOLDEN))
+def test_witnesses_match_golden(key):
+    assert witness_solve(SYSTEMS[key]) == WITNESS_GOLDEN[key]
 
 
 def _write(name: str, data: dict) -> None:
@@ -177,4 +237,8 @@ if WRITING:
             for argv in cli_commands()
         },
     )
-    _write("ncycles.json", {str(n): ncycle_solve(n) for n in range(3, 9)})
+    _write("ncycles.json", {str(n): ncycle_solve(n) for n in range(3, 11)})
+    _write(
+        "witnesses.json",
+        {key: witness_solve(system) for key, system in SYSTEMS.items()},
+    )

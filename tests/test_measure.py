@@ -129,6 +129,12 @@ def test_event_algebra():
     assert (a & ~a) == Event.empty(MZ)
 
 
+@pytest.mark.parametrize("atom", [MZ.atom_count, -1])
+def test_event_rejects_atom_outside_space(atom):
+    with pytest.raises(ValueError, match=f"atom index {atom} outside space"):
+        Event.of(MZ, [0, atom])
+
+
 def test_event_cross_space_operations_rejected():
     other = build_space(("A", "B"))
     with pytest.raises(SpaceMismatch):
