@@ -78,14 +78,6 @@ def parse_rational(text: object) -> Fraction:
         ) from exc
 
 
-def _parse_sign(value: object, where: str) -> int:
-    if type(value) is not int or value not in (1, -1):
-        raise ScenarioFormatError(
-            f"{where}: assignment values must be 1 or -1, got {value!r}"
-        )
-    return int(value)
-
-
 def _names(value: object, what: str) -> list[str]:
     if (
         not isinstance(value, list)
@@ -152,11 +144,7 @@ def scenario_from_data(data: object, label: str) -> ScenarioBundle:
                 raise ScenarioFormatError(
                     f"constraints[{i}].event must be an object"
                 )
-            partial = {
-                name: _parse_sign(sign, f"constraints[{i}].event")
-                for name, sign in event.items()
-            }
-            rows.append((partial, parse_rational(entry["value"])))
+            rows.append((event, parse_rational(entry["value"])))
         return ScenarioBundle(assemble(space, rows), label)
     entry = data["builtin"]
     if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
@@ -182,30 +170,6 @@ def family_to_scenario(family: ContextFamily) -> dict:
             }
         )
     return {"variables": list(family.global_variables), "contexts": contexts}
-
-
-# --- built-in parameters ----------------------------------------------------
-
-
-def _parse_params(
-    name: str, raw_params: Sequence[str]
-) -> dict[str, Fraction]:
-    order = tuple(builtin_spec(name).defaults)
-    params: dict[str, Fraction] = {}
-    positional = 0
-    for raw in raw_params:
-        if "=" in raw:
-            key, _, value = raw.partition("=")
-            params[key.strip()] = parse_rational(value)
-            continue
-        if positional >= len(order):
-            raise ScenarioFormatError(
-                f"builtin {name!r} takes at most {len(order)} "
-                "positional parameters"
-            )
-        params[order[positional]] = parse_rational(raw)
-        positional += 1
-    return params
 
 
 # --- reports ---------------------------------------------------------------
@@ -389,11 +353,10 @@ def _parse_assignment_flag(text: str, flag: str) -> dict[str, int]:
     return partial
 
 
-def _cmd_condition(
-    bundle: ScenarioBundle, target_text: str, given_text: str
-) -> tuple[dict, int]:
-    target = _parse_assignment_flag(target_text, "--target")
-    given = _parse_assignment_flag(given_text, "--given")
+def _cmd_condition(args: argparse.Namespace) -> tuple[dict, int]:
+    bundle = _load_bundle(args.file)
+    target = _parse_assignment_flag(args.target, "--target")
+    given = _parse_assignment_flag(args.given, "--given")
     report, result = _solve_report("condition", bundle)
     if result.witness is None:
         return report, 2
@@ -412,6 +375,25 @@ def _cmd_condition(
         entry["proper_range"] = None
     report["conditional"] = entry
     return report, 0
+
+
+def _cmd_builtin(args: argparse.Namespace) -> tuple[dict, int]:
+    order = tuple(builtin_spec(args.name).defaults)
+    params: dict[str, Fraction] = {}
+    positional = 0
+    for raw in args.param:
+        if "=" in raw:
+            key, _, value = raw.partition("=")
+            params[key.strip()] = parse_rational(value)
+            continue
+        if positional >= len(order):
+            raise ScenarioFormatError(
+                f"builtin {args.name!r} takes at most {len(order)} "
+                "positional parameters"
+            )
+        params[order[positional]] = parse_rational(raw)
+        positional += 1
+    return _cmd_solve(builtin_bundle(args.name, params))
 
 
 # --- argument parsing --------------------------------------------------------
@@ -446,13 +428,14 @@ def _build_parser() -> _Parser:
             help="output rendering (default: table)",
         )
 
-    for name, doc in (
-        ("solve", "minimize the L1 norm over all signed solutions"),
-        ("viable", "look for a proper nonnegative solution"),
-        ("bias", "compare contexts pairwise on shared events"),
+    for name, doc, cmd in (
+        ("solve", "minimize the L1 norm over all signed solutions", _cmd_solve),
+        ("viable", "look for a proper nonnegative solution", _cmd_viable),
+        ("bias", "compare contexts pairwise on shared events", _cmd_bias),
     ):
         p = sub.add_parser(name, help=doc)
         p.add_argument("file", help="scenario JSON file")
+        p.set_defaults(handler=lambda a, cmd=cmd: cmd(_load_bundle(a.file)))
         add_format(p)
 
     p = sub.add_parser(
@@ -461,6 +444,7 @@ def _build_parser() -> _Parser:
     p.add_argument("file", help="scenario JSON file")
     p.add_argument("--target", required=True, help="k=v[,k=v] cylinder")
     p.add_argument("--given", required=True, help="k=v[,k=v] cylinder")
+    p.set_defaults(handler=_cmd_condition)
     add_format(p)
 
     p = sub.add_parser("builtin", help="solve a built-in scenario")
@@ -472,6 +456,7 @@ def _build_parser() -> _Parser:
         metavar="V",
         help="builtin parameter, positional value or k=v; repeatable",
     )
+    p.set_defaults(handler=_cmd_builtin)
     add_format(p)
     return parser
 
@@ -490,22 +475,14 @@ def _load_bundle(path: str) -> ScenarioBundle:
     return scenario_from_data(data, label=None)
 
 
+_PARSER = _build_parser()
+
+
 def run(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns the process exit code instead of raising."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "builtin":
-            params = _parse_params(args.name, args.param)
-            report, code = _cmd_solve(builtin_bundle(args.name, params))
-        elif args.command == "condition":
-            bundle = _load_bundle(args.file)
-            report, code = _cmd_condition(bundle, args.target, args.given)
-        else:
-            handler = {
-                "solve": _cmd_solve, "viable": _cmd_viable, "bias": _cmd_bias
-            }[args.command]
-            report, code = handler(_load_bundle(args.file))
+        args = _PARSER.parse_args(argv)
+        report, code = args.handler(args)
         print(_render(report, args.format), end="")
         return code
     except _UsageError as exc:

@@ -198,7 +198,7 @@ def _mask_want(
         bit = 1 << space.position(name)
         if type(sign) is not int or sign not in (+1, -1):
             raise InvalidAssignment(
-                f"assignment for {name!r} must be +1 or -1, got {sign!r}"
+                f"assignment for {name!r} must be 1 or -1, got {sign!r}"
             )
         mask |= bit
         if sign == +1:

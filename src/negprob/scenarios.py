@@ -64,45 +64,33 @@ def _from_labels(
 
 # Case distributions.  Atom labels follow the variable order given next to
 # each case; cases differ in which path detectors are present and whether
-# they absorb the photon.
+# they absorb the photon.  A lone path detector gives the same table on
+# arm a (Da) as on arm b (Db), so cases 2 and 3, and 6 and 7, share one.
+# no path detector in the run: all output at D1 (cases 1 and 5)
+_OPEN = (("D1", "D2"), {"+-": Fraction(1)})
+# absorbing detector on one arm: it eats half; the rest splits evenly
+_ABSORBED = {"-+-": _HALF, "--+": _HALF}
+# non-destructive detector on one arm: it fires half the time, and the
+# output splits evenly whether it fired or not
+_MARKED = {
+    "++-": _QUARTER,
+    "+-+": _QUARTER,
+    "-+-": _QUARTER,
+    "--+": _QUARTER,
+}
 _CASES: dict[int, tuple[tuple[str, ...], dict[str, Fraction]]] = {
-    # both arms open, no path detectors: all output at D1
-    1: (("D1", "D2"), {"+-": Fraction(1)}),
-    # absorbing detector on arm a: it eats half; the rest splits evenly
-    2: (
-        ("Da", "D1", "D2"),
-        {"-+-": _HALF, "--+": _HALF},
-    ),
-    # absorbing detector on arm b
-    3: (
-        ("Db", "D1", "D2"),
-        {"-+-": _HALF, "--+": _HALF},
-    ),
+    1: _OPEN,
+    2: (("Da", "D1", "D2"), _ABSORBED),
+    3: (("Db", "D1", "D2"), _ABSORBED),
     # absorbing detectors on both arms: photon never reaches the output
     4: (
         ("Da", "Db", "D1", "D2"),
         {"-+--": _HALF, "+---": _HALF},
     ),
-    # same geometries with non-destructive path detectors
-    5: (("D1", "D2"), {"+-": Fraction(1)}),
-    6: (
-        ("Da", "D1", "D2"),
-        {
-            "++-": _QUARTER,
-            "+-+": _QUARTER,
-            "-+-": _QUARTER,
-            "--+": _QUARTER,
-        },
-    ),
-    7: (
-        ("Db", "D1", "D2"),
-        {
-            "++-": _QUARTER,
-            "+-+": _QUARTER,
-            "-+-": _QUARTER,
-            "--+": _QUARTER,
-        },
-    ),
+    # the same geometries with non-destructive path detectors
+    5: _OPEN,
+    6: (("Da", "D1", "D2"), _MARKED),
+    7: (("Db", "D1", "D2"), _MARKED),
     8: (
         ("Da", "Db", "D1", "D2"),
         {

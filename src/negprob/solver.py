@@ -300,13 +300,19 @@ def _drop_redundant(lp: _RevisedLP) -> None:
     lp.basis = [lp.basis[i] for i in keep]
 
 
-def _phase2(lp: _RevisedLP) -> tuple[Fraction, list[Fraction]]:
-    """min sum(x) from a feasible basis of real columns; (value, xp - xn)."""
+def _phase2(lp: _RevisedLP) -> Fraction:
+    """min sum(x) from a feasible basis of real columns; the value."""
     _bland_iterate(lp, phase1=False)
+    return sum(lp.rhs, Fraction(0))
+
+
+def _witness(lp: _RevisedLP, space: SampleSpace) -> SignedMeasure:
+    """Atom masses xp - xn; artificials left in the basis sit at 0."""
     mass = [Fraction(0)] * lp.n
     for col, value in zip(lp.basis, lp.rhs):
-        mass[col % lp.n] += value if col < lp.n else -value
-    return sum(lp.rhs, Fraction(0)), mass
+        if col < lp.ncols:
+            mass[col % lp.n] += value if col < lp.n else -value
+    return SignedMeasure(space, mass)
 
 
 def _require_normalization(cs: ConstraintSystem) -> None:
@@ -327,10 +333,7 @@ def feasible_proper(cs: ConstraintSystem) -> SignedMeasure | None:
     lp, feasible = _phase1(cs, split=False)
     if not feasible:
         return None
-    # Artificials left in the basis sit at 0, so the real basic columns
-    # already spell the witness.
-    x = {col: v for col, v in zip(lp.basis, lp.rhs) if col < lp.ncols}
-    return SignedMeasure.from_sparse(cs.space, x)
+    return _witness(lp, cs.space)
 
 
 def minimize_l1(cs: ConstraintSystem) -> SolveResult:
@@ -348,14 +351,13 @@ def minimize_l1(cs: ConstraintSystem) -> SolveResult:
     rank = len(lp.basis)
     if not feasible:
         return SolveResult(SolveStatus.INFEASIBLE, None, None, rank, n - rank)
-    value, mass = _phase2(lp)
-    witness = SignedMeasure(cs.space, mass)
+    value = _phase2(lp)
     status = (
         SolveStatus.PROPER_FEASIBLE
         if value == 1
         else SolveStatus.SIGNED_FEASIBLE_ONLY
     )
-    return SolveResult(status, value, witness, rank, n - rank)
+    return SolveResult(status, value, _witness(lp, cs.space), rank, n - rank)
 
 
 def verify_member(

@@ -91,6 +91,11 @@ def test_builtin_json_schema(capsys):
 def test_output_is_byte_stable(capsys):
     run(["builtin", "tsirelson", "--format", "json"])
     first = capsys.readouterr().out
+    # the parser is shared by every run in a process: neither a --param
+    # list nor a rejected command may leak into the next run
+    assert run(["builtin", "lg-chain", "--param", "1/2"]) == 0
+    assert run(["builtin", "tsirelson", "--format", "yaml"]) == 1
+    capsys.readouterr()
     run(["builtin", "tsirelson", "--format", "json"])
     assert capsys.readouterr().out == first
 
@@ -337,7 +342,7 @@ def test_overlong_literals_are_input_errors(tmp_path, capsys):
 
 
 def test_float_signs_are_rejected(tmp_path, capsys):
-    for sign in (1.0, -1.0):
+    for sign in (1.0, -1.0, True, False, 2, 0, "1", None):
         doc = {
             "variables": ["X"],
             "constraints": [{"event": {"X": sign}, "value": "1/2"}],
