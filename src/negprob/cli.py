@@ -122,8 +122,8 @@ def scenario_from_data(data: object, label: str) -> ScenarioBundle:
         entries = data["contexts"]
         if not isinstance(entries, list) or not entries:
             raise ScenarioFormatError("\"contexts\" must be a nonempty list")
-        contexts = tuple(
-            _context_from_data(entry, i) for i, entry in enumerate(entries)
+        contexts = tuple(  # a list: see SignedMeasure.__post_init__
+            [_context_from_data(entry, i) for i, entry in enumerate(entries)]
         )
         family = ContextFamily(tuple(variables), contexts)
         return ScenarioBundle(family, label)

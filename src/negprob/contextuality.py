@@ -67,16 +67,18 @@ def detect_bias(family: ContextFamily) -> BiasWitness | None:
     for i, j in itertools.combinations(range(len(family.contexts)), 2):
         ctx_i = family.contexts[i]
         ctx_j = family.contexts[j]
-        shared = tuple(
-            v
-            for v in family.global_variables
-            if v in ctx_i.variables and v in ctx_j.variables
+        shared = tuple(  # a list: see SignedMeasure.__post_init__
+            [
+                v
+                for v in family.global_variables
+                if v in ctx_i.variables and v in ctx_j.variables
+            ]
         )
         if not shared:
             continue
         for mask in range(1, 1 << len(shared)):
             subset = tuple(
-                shared[k] for k in range(len(shared)) if mask >> k & 1
+                [shared[k] for k in range(len(shared)) if mask >> k & 1]
             )
             for signs in itertools.product((+1, -1), repeat=len(subset)):
                 partial = dict(zip(subset, signs))

@@ -228,8 +228,11 @@ class SignedMeasure:
     mass: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
+        # A list, not a generator: CPython grows a tuple from a generator
+        # by resizing it, and each such tuple, once freed, stays on a
+        # free list that only a full garbage collection empties.
         object.__setattr__(
-            self, "mass", tuple(as_fraction(m) for m in self.mass)
+            self, "mass", tuple([as_fraction(m) for m in self.mass])
         )
         if len(self.mass) != self.space.atom_count:
             raise ValueError(

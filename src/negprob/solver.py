@@ -9,11 +9,12 @@ answered, all over exact rationals with no tolerances anywhere:
 * what is the minimum of the L1 norm over all signed solutions, with a
   witness measure attaining it.
 
-The optimizer is a two-phase revised primal simplex.  It keeps an exact
-m x m ``Fraction`` basis inverse for the m rows and stores no column: an
-atom's column is read off the rows whose event contains it.  Reduced
-costs are exact integers, from the simplex multipliers scaled by the lcm
-of their denominators.  Bland's rule (lowest eligible
+The optimizer is a two-phase revised primal simplex.  It keeps the basis
+inverse of the m rows fraction-free, as an integer m x m adjugate over
+one common denominator det (Edmonds; Bareiss's integer-preserving
+elimination), and stores no column: an atom's column is read off the
+rows whose event contains it.  Columns, reduced costs and the ratio test
+are exact integer arithmetic.  Bland's rule (lowest eligible
 index enters, ties on the leaving row broken by lowest basis index)
 guarantees termination and makes every returned witness deterministic.
 Each decision reads only entries of B^-1 A and the reduced costs, which
@@ -153,12 +154,15 @@ def rank_nullity(cs: ConstraintSystem) -> tuple[int, int]:
 
 
 class _RevisedLP:
-    """Basis inverse binv, basic values rhs and basis for A x = b, x >= 0.
+    """Integer adjugate adj, its denominator det, basic values rhs and
+    basis for A x = b, x >= 0, with B^-1 = adj / det and det > 0.
 
-    Real column j is atom j mod N, negated for j >= N (the split's minus
-    half); atom a has a 1 on each row in rows_of[a].  The artificial of
-    row r is column ncols + r, flip_r * e_r with flip_r = -1 on a negative
-    value: flipping the row instead gives the same tableau B^-1 A.
+    The basic values are x_B = rhs / (det * scale_b), scale_b being the
+    lcm of the row values' denominators, so all state is int.  Real column
+    j is atom j mod N, negated for j >= N (the split's minus half); atom a
+    has a 1 on each row in rows_of[a].  The artificial of row r is column
+    ncols + r, flip_r * e_r with flip_r = -1 on a negative value: flipping
+    the row instead gives the same tableau B^-1 A.
     """
 
     def __init__(self, cs: ConstraintSystem, split: bool) -> None:
@@ -169,20 +173,23 @@ class _RevisedLP:
             for atom in event.atoms:
                 self.rows_of[atom].append(r)
         self.flip = [-1 if value < 0 else 1 for _, value in cs.rows]
-        self.binv = [
-            [Fraction(f if k == r else 0) for k in range(len(self.flip))]
+        # a list, not a generator: see SignedMeasure.__post_init__
+        self.scale_b = lcm(*[value.denominator for _, value in cs.rows])
+        self.det = 1
+        self.adj = [
+            [f if k == r else 0 for k in range(len(self.flip))]
             for r, f in enumerate(self.flip)
         ]
-        self.rhs = [abs(value) for _, value in cs.rows]
+        self.rhs = [int(abs(value) * self.scale_b) for _, value in cs.rows]
         self.basis = [self.ncols + r for r in range(len(self.flip))]
 
-    def column(self, j: int) -> list[Fraction]:
-        """Tableau column j, B^-1 times column j of [A | flips]."""
+    def column(self, j: int) -> list[int]:
+        """Tableau column j times det: adj times column j of [A | flips]."""
         if j >= self.ncols:
             r = j - self.ncols
-            return [self.flip[r] * row[r] for row in self.binv]
+            return [self.flip[r] * row[r] for row in self.adj]
         rows = self.rows_of[j % self.n]
-        col = [sum(map(row.__getitem__, rows)) for row in self.binv]
+        col = [sum(map(row.__getitem__, rows)) for row in self.adj]
         return col if j < self.n else [-x for x in col]
 
     def entering(self, phase1: bool) -> int:
@@ -190,18 +197,18 @@ class _RevisedLP:
 
         Phase 1 costs the artificials 1 and the real columns 0; phase 2
         costs the real columns 1 and prices no artificial.  With Y the
-        integer multipliers scale * c_B B^-1, atom a's price is the sum of
-        Y over rows_of[a], against the cost in the same scale.
+        column sums of the costed adj rows, det * c_B B^-1, atom a's price
+        is the sum of Y over rows_of[a], against the cost times det.
         """
         costed = [
             row
-            for row, col in zip(self.binv, self.basis)
+            for row, col in zip(self.adj, self.basis)
             if col >= self.ncols or not phase1
         ]
         if not costed:
             return -1
-        scale, big_y = _scaled_sum(costed)
-        cost = 0 if phase1 else scale
+        big_y = [sum(entries) for entries in zip(*costed)]
+        cost = 0 if phase1 else self.det
         first_minus = -1
         for atom, rows in enumerate(self.rows_of):
             w = sum(map(big_y.__getitem__, rows))
@@ -213,39 +220,35 @@ class _RevisedLP:
             return self.n + first_minus
         if phase1:
             for r, (f, yr) in enumerate(zip(self.flip, big_y)):
-                if f * yr > scale:
+                if f * yr > self.det:
                     return self.ncols + r
         return -1
 
     def first_real(self, i: int) -> int:
         """First real column with a nonzero in tableau row i, or -1."""
-        _, ints = _scaled_sum([self.binv[i]])
+        row = self.adj[i]
         for atom, rows in enumerate(self.rows_of):
-            if sum(map(ints.__getitem__, rows)):
+            if sum(map(row.__getitem__, rows)):
                 return atom
         return -1
 
-    def pivot(self, row: int, j: int, col: list[Fraction]) -> None:
-        inv = 1 / col[row]
-        prow = self.binv[row] = [x * inv for x in self.binv[row]]
-        self.rhs[row] *= inv
-        nonzero = [k for k, x in enumerate(prow) if x]
-        for i, factor in enumerate(col):
-            if i != row and factor:
-                target = self.binv[i]
-                for k in nonzero:
-                    target[k] -= factor * prow[k]
-                self.rhs[i] -= factor * self.rhs[row]
+    def pivot(self, row: int, j: int, col: list[int]) -> None:
+        """Bareiss step on p = col[row]; det becomes |p|.  Each division
+        by the old det is exact (Sylvester's identity); a row with
+        col_i = 0 only rescales by |p| / det."""
+        p, det = col[row], self.det
+        if p < 0:
+            self.adj[row] = [-x for x in self.adj[row]]
+            self.rhs[row] = -self.rhs[row]
+        prow, prhs, q = self.adj[row], self.rhs[row], abs(p)
+        for i, c in enumerate(col):
+            if i != row and (c or q != det):
+                self.adj[i] = [
+                    (q * x - c * y) // det for x, y in zip(self.adj[i], prow)
+                ]
+                self.rhs[i] = (q * self.rhs[i] - c * prhs) // det
+        self.det = q
         self.basis[row] = j
-
-
-def _scaled_sum(rows: list[list[Fraction]]) -> tuple[int, list[int]]:
-    """(scale, Y) with Y the column sums of rows times scale, all integers."""
-    scale = lcm(*(q.denominator for row in rows for q in row))
-    return scale, [
-        sum(q.numerator * (scale // q.denominator) for q in entries)
-        for entries in zip(*rows)
-    ]
 
 
 def _bland_iterate(lp: _RevisedLP, phase1: bool) -> None:
@@ -256,17 +259,13 @@ def _bland_iterate(lp: _RevisedLP, phase1: bool) -> None:
             return
         col = lp.column(enter)
         leave = -1
-        best: Fraction | None = None
         for i, coef in enumerate(col):
-            if coef > 0:
-                ratio = lp.rhs[i] / coef
-                if (
-                    best is None
-                    or ratio < best
-                    or (ratio == best and lp.basis[i] < lp.basis[leave])
-                ):
-                    best = ratio
-                    leave = i
+            if coef > 0 and (
+                leave < 0
+                or (lp.rhs[i] * col[leave], lp.basis[i])
+                < (lp.rhs[leave] * coef, lp.basis[leave])
+            ):
+                leave = i
         if leave < 0:
             # cannot happen for the L1 and feasibility programs solved
             # here (both objectives are bounded below), kept defensive
@@ -295,7 +294,7 @@ def _drop_redundant(lp: _RevisedLP) -> None:
                 continue
             lp.pivot(i, col, lp.column(col))
         keep.append(i)
-    lp.binv = [lp.binv[i] for i in keep]
+    lp.adj = [lp.adj[i] for i in keep]
     lp.rhs = [lp.rhs[i] for i in keep]
     lp.basis = [lp.basis[i] for i in keep]
 
@@ -303,15 +302,16 @@ def _drop_redundant(lp: _RevisedLP) -> None:
 def _phase2(lp: _RevisedLP) -> Fraction:
     """min sum(x) from a feasible basis of real columns; the value."""
     _bland_iterate(lp, phase1=False)
-    return sum(lp.rhs, Fraction(0))
+    return Fraction(sum(lp.rhs), lp.det * lp.scale_b)
 
 
 def _witness(lp: _RevisedLP, space: SampleSpace) -> SignedMeasure:
     """Atom masses xp - xn; artificials left in the basis sit at 0."""
+    den = lp.det * lp.scale_b
     mass = [Fraction(0)] * lp.n
     for col, value in zip(lp.basis, lp.rhs):
         if col < lp.ncols:
-            mass[col % lp.n] += value if col < lp.n else -value
+            mass[col % lp.n] += Fraction(value if col < lp.n else -value, den)
     return SignedMeasure(space, mass)
 
 

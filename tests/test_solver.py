@@ -1,5 +1,6 @@
 """Constraint assembly, exact linear algebra, and the L1 simplex."""
 
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -33,6 +34,9 @@ from negprob import (
     validate_kolmogorov,
     verify_member,
 )
+from negprob.scenarios import BUILTINS, builtin_bundle
+from negprob.solver import _drop_redundant, _phase1, _phase2, _RevisedLP
+
 from gridsearch import grid_minimum, parameterization
 from helpers import mz_family, random_small_system
 
@@ -316,6 +320,116 @@ def test_grid_reports_infeasible_as_none():
     cs = family_system(mz_family(1, 4))
     assert parameterization(cs) is None
     assert grid_minimum(cs) is None
+
+
+# -- fraction-free simplex state --------------------------------------------
+
+
+def _entry(cs, lp, k, col):
+    """Row k of [A | flips] at simplex column col."""
+    if col >= lp.ncols:
+        return lp.flip[k] if col - lp.ncols == k else 0
+    sign = 1 if col < lp.n else -1
+    return sign if col % lp.n in cs.rows[k][0].atoms else 0
+
+
+def assert_adjugate_state(cs, lp):
+    """adj is det times the inverse of the basic columns, det > 0, and
+    adj maps the scaled row values onto rhs."""
+    assert lp.det > 0
+    m = len(cs.rows)
+    for i, row in enumerate(lp.adj):
+        for j, col in enumerate(lp.basis):
+            product = sum(row[k] * _entry(cs, lp, k, col) for k in range(m))
+            assert product == (lp.det if i == j else 0)
+        scaled_b = sum(
+            row[k] * value * lp.scale_b for k, (_, value) in enumerate(cs.rows)
+        )
+        assert scaled_b == lp.rhs[i]
+
+
+def test_adjugate_invariant_holds_after_every_pivot(monkeypatch):
+    """Checked after each pivot as well as between phases: a row left
+    unscaled when det moves 1 -> 2 -> 1 passes the phase-end checks."""
+    pivot = _RevisedLP.pivot
+
+    def checked_pivot(lp, row, j, col):
+        pivot(lp, row, j, col)
+        assert_adjugate_state(cs, lp)  # the system the loop below solves
+
+    monkeypatch.setattr(_RevisedLP, "pivot", checked_pivot)
+    systems = []
+    for name in BUILTINS:
+        payload = builtin_bundle(name, {}).payload
+        systems.append(
+            payload
+            if isinstance(payload, ConstraintSystem)
+            else family_system(payload)
+        )
+    rng = random.Random(6)
+    systems += [random_small_system(rng, 4, 8) for _ in range(100)]
+    for cs in systems:
+        lp, feasible = _phase1(cs, split=True)
+        assert_adjugate_state(cs, lp)
+        _drop_redundant(lp)
+        assert_adjugate_state(cs, lp)
+        if feasible:
+            _phase2(lp)
+            assert_adjugate_state(cs, lp)
+
+
+def _read_rows(space, hidden, pinned=()):
+    """Every one- and two-variable cylinder row of a hidden measure, plus
+    full-assignment rows for the pinned atoms."""
+    rows = []
+    for size in (1, 2):
+        for names in itertools.combinations(space.variables, size):
+            for signs in itertools.product((1, -1), repeat=size):
+                partial = dict(zip(names, signs))
+                rows.append(
+                    (partial, event_mass(hidden, cylinder(space, partial)))
+                )
+    for atom in pinned:
+        partial = {v: space.atom_sign(atom, v) for v in space.variables}
+        rows.append((partial, hidden.mass[atom]))
+    return assemble(space, rows)
+
+
+COPRIME = (
+    Fraction(1, 7),
+    Fraction(1, 11),
+    Fraction(1, 13),
+    Fraction(1, 7),
+    Fraction(2, 11),
+    Fraction(1, 13),
+    Fraction(1, 7),
+)
+XYZ = build_space(("X", "Y", "Z"))
+
+
+def test_coprime_denominators_proper():
+    mass = [*COPRIME, 1 - sum(COPRIME)]
+    assert min(mass) > 0
+    cs = _read_rows(XYZ, SignedMeasure(XYZ, mass))
+    assert _RevisedLP(cs, split=True).scale_b == 1001
+    result = minimize_l1(cs)
+    assert result.status is SolveStatus.PROPER_FEASIBLE
+    assert result.mstar == 1
+    assert verify_member(cs, result.witness, 1)
+    assert verify_member(cs, feasible_proper(cs), 1)
+
+
+def test_coprime_denominators_signed():
+    mass = [-COPRIME[0], *COPRIME[1:]]
+    mass.append(1 - sum(mass))
+    hidden = SignedMeasure(XYZ, mass)
+    cs = _read_rows(XYZ, hidden, pinned=(0,))
+    assert _RevisedLP(cs, split=True).scale_b == 1001
+    result = minimize_l1(cs)
+    assert result.status is SolveStatus.SIGNED_FEASIBLE_ONLY
+    assert 1 + 2 * COPRIME[0] <= result.mstar <= l1_norm(hidden)
+    assert verify_member(cs, result.witness, result.mstar)
+    assert feasible_proper(cs) is None
 
 
 # -- performance ------------------------------------------------------------
