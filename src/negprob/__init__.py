@@ -7,6 +7,8 @@ the minimum L1 norm M* over all signed solutions together with a witness
 measure, all in exact rational arithmetic.
 """
 
+from types import ModuleType as _ModuleType
+
 from .contextuality import (
     BiasWitness,
     ContextFamily,
@@ -83,68 +85,9 @@ from .solver import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlphaOutOfRange",
-    "BiasWitness",
-    "ConstraintSystem",
-    "Context",
-    "ContextFamily",
-    "ContradictoryRows",
-    "CorrelationOutOfRange",
-    "DegenerateGeometry",
-    "DuplicateName",
-    "EpsOutOfRange",
-    "Event",
-    "ImproperDistribution",
-    "InvalidAssignment",
-    "InvalidCase",
-    "InvalidName",
-    "MissingNormalization",
-    "MissingPairContext",
-    "NegprobError",
-    "SampleSpace",
-    "ScenarioBundle",
-    "ScenarioFormatError",
-    "SignedMeasure",
-    "SolveResult",
-    "SolveStatus",
-    "SpaceMismatch",
-    "TooManyVariables",
-    "UndefinedConditional",
-    "UnknownVariable",
-    "ValueOutOfBounds",
-    "Violation",
-    "WaveConfig",
-    "WaveDetection",
-    "assemble",
-    "bell_box",
-    "build_space",
-    "check_mstar_s_relation",
-    "chsh_s",
-    "cylinder",
-    "detect_bias",
-    "event_mass",
-    "family_mstar",
-    "family_system",
-    "feasible_proper",
-    "jordan_decompose",
-    "l1_norm",
-    "leggett_garg_chain",
-    "mach_zehnder_case",
-    "marginalize",
-    "minimize_l1",
-    "mz_counterfactual",
-    "mz_counterfactual_detuned",
-    "mz_family_member",
-    "mz_general_member",
-    "mz_space",
-    "nearest_rational",
-    "nonmonotonicity_witness",
-    "rank_nullity",
-    "signed_conditional",
-    "tsirelson_box",
-    "validate_kolmogorov",
-    "validate_upper",
-    "verify_member",
-    "wave_detection",
-]
+# The imports above are the public API; __all__ is read off them.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -19,7 +19,8 @@ success, 2 when the answer is Infeasible or NOT VIABLE, 1 on input
 errors (malformed JSON is reported with line and column).
 
 Scenario files are JSON documents with a ``variables`` list plus exactly
-one of ``contexts``, ``constraints``, or ``builtin``; all numbers are
+one of ``contexts``, ``constraints``, or ``builtin`` (where ``variables``
+may be left out, and must match the built-in's if given); all numbers are
 rational strings like ``"1/2"`` or ``"-3"``, never floats.  Context
 distribution keys spell one sign per context variable in order, for
 example ``"+-"``.
@@ -110,7 +111,9 @@ def scenario_from_data(data: object, label: str) -> ScenarioBundle:
     """Validate a decoded scenario document and build its bundle."""
     if not isinstance(data, dict):
         raise ScenarioFormatError("scenario document must be a JSON object")
-    variables = _names(data.get("variables"), "\"variables\"")
+    variables = data.get("variables")  # optional in a builtin document
+    if "variables" in data or "builtin" not in data:
+        variables = _names(variables, "\"variables\"")
     present = [k for k in ("contexts", "constraints", "builtin") if k in data]
     if len(present) != 1:
         raise ScenarioFormatError(
@@ -155,7 +158,15 @@ def scenario_from_data(data: object, label: str) -> ScenarioBundle:
     params = {
         str(k): parse_rational(v) for k, v in params_data.items()
     }
-    return builtin_bundle(entry["name"], params)
+    bundle = builtin_bundle(entry["name"], params)
+    if variables is not None:
+        expected = list(_bundle_system(bundle).space.variables)
+        if variables != expected:
+            raise ScenarioFormatError(
+                f"builtin {entry['name']!r} has \"variables\" {expected}, "
+                f"got {variables}"
+            )
+    return bundle
 
 
 def family_to_scenario(family: ContextFamily) -> dict:
@@ -234,12 +245,9 @@ def _render_table(report: dict) -> str:
     if report["witness"] is not None:
         header = " ".join(report["variables"])
         lines.append(f"witness (atom chars follow {header}; zeros omitted):")
-        if report["witness"]:
-            width = max(len(label) for label in report["witness"])
-            for label, mass in report["witness"].items():
-                lines.append(f"  {label:<{width}}  {mass}")
-        else:
-            lines.append("  (all atom masses are zero)")
+        width = max(len(label) for label in report["witness"])
+        for label, mass in report["witness"].items():
+            lines.append(f"  {label:<{width}}  {mass}")
     if report["command"] == "bias":
         bias = report["bias"]
         if bias is None:
@@ -338,6 +346,12 @@ def _cmd_bias(bundle: ScenarioBundle) -> tuple[dict, int]:
     return report, 0
 
 
+def _set_once(settings: dict, key: str, value: object, what: str) -> None:
+    if key in settings:
+        raise ScenarioFormatError(f"{what} {key!r} set twice")
+    settings[key] = value
+
+
 def _parse_assignment_flag(text: str, flag: str) -> dict[str, int]:
     partial: dict[str, int] = {}
     for chunk in text.split(","):
@@ -349,7 +363,8 @@ def _parse_assignment_flag(text: str, flag: str) -> dict[str, int]:
                 f"{flag} expects k=v pairs with v one of 1, +1, -1; "
                 f"got {chunk!r}"
             )
-        partial[name] = 1 if value in ("1", "+1") else -1
+        sign = 1 if value in ("1", "+1") else -1
+        _set_once(partial, name, sign, f"{flag} variable")
     return partial
 
 
@@ -380,19 +395,19 @@ def _cmd_condition(args: argparse.Namespace) -> tuple[dict, int]:
 def _cmd_builtin(args: argparse.Namespace) -> tuple[dict, int]:
     order = tuple(builtin_spec(args.name).defaults)
     params: dict[str, Fraction] = {}
+    what = f"builtin {args.name!r} parameter"
     positional = 0
     for raw in args.param:
-        if "=" in raw:
-            key, _, value = raw.partition("=")
-            params[key.strip()] = parse_rational(value)
-            continue
-        if positional >= len(order):
-            raise ScenarioFormatError(
-                f"builtin {args.name!r} takes at most {len(order)} "
-                "positional parameters"
-            )
-        params[order[positional]] = parse_rational(raw)
-        positional += 1
+        key, sep, value = raw.partition("=")
+        if not sep:
+            if positional >= len(order):
+                raise ScenarioFormatError(
+                    f"builtin {args.name!r} takes at most {len(order)} "
+                    "positional parameters"
+                )
+            key, value = order[positional], raw
+            positional += 1
+        _set_once(params, key.strip(), parse_rational(value), what)
     return _cmd_solve(builtin_bundle(args.name, params))
 
 

@@ -48,11 +48,9 @@ def as_fraction(value: object) -> Fraction:
     Floats are refused: silently rationalizing them would smuggle rounding
     error into computations that are meant to be exact.
     """
-    if isinstance(value, bool) or isinstance(value, float):
-        raise TypeError(f"exact rational required, got {value!r}")
-    if isinstance(value, Rational):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, Fraction):
+        return value  # immutable, so no copy is needed
+    if isinstance(value, (Rational, str)) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(f"exact rational required, got {value!r}")
 

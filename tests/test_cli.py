@@ -121,6 +121,25 @@ def test_builtin_errors(capsys):
     assert run(["builtin", "mz-detuned", "--param", "nu=1/10"]) == 1
 
 
+@pytest.mark.parametrize(
+    "builtin, params, name",
+    [
+        ("pr-box", ["e_ab=1/2", "1", "1"], "e_ab"),  # by name, by position
+        ("pr-box", ["1", "e_ab=1/2"], "e_ab"),  # by position, by name
+        ("pr-box", ["e_ab2=1", "e_ab2=-1"], "e_ab2"),  # by name twice
+        ("mz-detuned", ["eps=1/10", "eps=1/20"], "eps"),
+    ],
+)
+def test_builtin_parameter_set_twice_is_refused(capsys, builtin, params, name):
+    argv = ["builtin", builtin]
+    for value in params:
+        argv += ["--param", value]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == (
+        f"input error: builtin {builtin!r} parameter {name!r} set twice\n"
+    )
+
+
 def test_usage_errors(capsys):
     assert run([]) == 1
     assert run(["dance"]) == 1
@@ -244,6 +263,20 @@ def test_condition_flag_validation(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_condition_variable_named_twice_is_refused(tmp_path, capsys):
+    path = write_json(tmp_path, "rows.json", CONSTRAINTS_DOC)
+    argv = ["condition", path, "--target", "Da=1,Da=-1", "--given", "D1=1"]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == (
+        "input error: --target variable 'Da' set twice\n"
+    )
+    argv = ["condition", path, "--target", "Da=1", "--given", "D1=1,D1=+1"]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == (
+        "input error: --given variable 'D1' set twice\n"
+    )
+
+
 # -- scenario file validation ---------------------------------------------------
 
 
@@ -312,6 +345,65 @@ def test_builtin_document_with_params(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["label"] == "pr-box"
     assert report["mstar"] == "7/4"
+
+
+def test_builtin_document_may_leave_out_variables(tmp_path, capsys):
+    doc = {"builtin": {"name": "pr-box", "params": {"e_ab": "1/2"}}}
+    path = write_json(tmp_path, "builtin.json", doc)
+    assert run(["solve", path, "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["variables"] == ["A", "A2", "B", "B2"]
+    assert report["mstar"] == "7/4"
+
+
+def test_builtin_document_variables_must_match(tmp_path, capsys):
+    doc = {"variables": ["Q"], "builtin": {"name": "pr-box"}}
+    assert run(["solve", write_json(tmp_path, "builtin.json", doc)]) == 1
+    assert capsys.readouterr().err == (
+        "input error: builtin 'pr-box' has \"variables\" "
+        "['A', 'A2', 'B', 'B2'], got ['Q']\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (
+            {"variables": ["X"], "contexts": [5]},
+            "contexts[0] must be an object",
+        ),
+        (
+            {
+                "variables": ["X"],
+                "contexts": [{"variables": ["X"], "distribution": ["+"]}],
+            },
+            "contexts[0].distribution must be an object",
+        ),
+        (
+            {"variables": ["X"], "constraints": {"event": {}}},
+            "\"constraints\" must be a list",
+        ),
+        (
+            {"variables": ["X"], "constraints": [{"event": {"X": 1}}]},
+            "constraints[0] needs \"event\" and \"value\"",
+        ),
+        (
+            {"variables": ["X"], "constraints": [{"value": "1/2"}]},
+            "constraints[0] needs \"event\" and \"value\"",
+        ),
+        (
+            {"variables": ["X"], "constraints": [{"event": [1], "value": "1"}]},
+            "constraints[0].event must be an object",
+        ),
+        (
+            {"builtin": {"name": "pr-box", "params": ["1/2"]}},
+            "builtin params must be an object",
+        ),
+    ],
+)
+def test_document_rejections_name_the_fault(tmp_path, capsys, doc, message):
+    assert run(["solve", write_json(tmp_path, "bad.json", doc)]) == 1
+    assert capsys.readouterr().err == f"input error: {message}\n"
 
 
 def test_non_utf8_file_is_an_input_error(tmp_path, capsys):

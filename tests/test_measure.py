@@ -29,6 +29,7 @@ from negprob import (
     validate_kolmogorov,
     validate_upper,
 )
+from negprob.measure import as_fraction
 
 MZ = build_space(("Da", "Db", "D1", "D2"))
 
@@ -382,3 +383,48 @@ def test_event_mass_matches_atom_sum_exhaustively(m):
         assert event_mass(m, ev) == sum(
             (m.mass[i] for i in ev.atoms), Fraction(0)
         )
+
+
+# -- guards ---------------------------------------------------------------------
+
+
+def test_as_fraction_coerces_refuses_and_does_not_copy():
+    half = Fraction(1, 2)
+    assert as_fraction(half) is half
+    assert as_fraction("-3/4") == Fraction(-3, 4)
+    assert as_fraction(2) == Fraction(2)
+    for bad in (object(), None, 0.5, True):
+        with pytest.raises(TypeError, match="exact rational required"):
+            as_fraction(bad)
+
+
+def test_space_needs_a_variable():
+    with pytest.raises(InvalidName, match="at least one variable"):
+        build_space([])
+
+
+def test_event_membership_and_ascending_iteration():
+    space = build_space(["X", "Y", "Z"])
+    event = Event.of(space, [6, 1, 4])
+    assert 4 in event and 5 not in event
+    assert list(event) == [1, 4, 6]
+
+
+def test_measure_needs_one_mass_per_atom():
+    with pytest.raises(ValueError, match="expected 4 masses, got 3"):
+        SignedMeasure(build_space(["X", "Y"]), (Fraction(1),) * 3)
+
+
+def test_marginalize_needs_a_variable():
+    m = SignedMeasure(build_space(["X"]), (Fraction(1, 2), Fraction(1, 2)))
+    with pytest.raises(InvalidName, match="at least one variable"):
+        marginalize(m, [])
+
+
+def test_conditional_refuses_events_of_another_space():
+    m = SignedMeasure(build_space(["X"]), (Fraction(1, 2), Fraction(1, 2)))
+    stranger = Event.full(build_space(["Y"]))
+    with pytest.raises(SpaceMismatch):
+        signed_conditional(m, stranger, Event.full(m.space))
+    with pytest.raises(SpaceMismatch):
+        signed_conditional(m, Event.full(m.space), stranger)

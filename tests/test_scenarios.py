@@ -12,6 +12,7 @@ from negprob import (
     AlphaOutOfRange,
     Context,
     CorrelationOutOfRange,
+    DegenerateGeometry,
     EpsOutOfRange,
     InvalidCase,
     ScenarioBundle,
@@ -270,6 +271,13 @@ def test_wave_config_validation():
         WaveConfig(1.0, 0.0, 0.0, 0.0)
     with pytest.raises(ValueOutOfBounds):
         WaveConfig(Fraction(1), math.inf, 0.0, 0.0)
+
+
+def test_wave_detection_refuses_an_underflowing_amplitude():
+    # A positive exact amplitude can still round to 0.0 as a float.
+    cfg = WaveConfig(Fraction(1, 10**400), 0.0, 0.0, 0.0)
+    with pytest.raises(DegenerateGeometry, match="both output intensities"):
+        wave_detection(cfg)
 
 
 def test_nearest_rational():

@@ -115,6 +115,12 @@ def test_assemble_rejects_floats():
         assemble(XY, [({"X": 1}, 0.5)])
 
 
+def test_system_refuses_an_event_of_another_space():
+    stranger = Event.full(build_space(["Q"]))
+    with pytest.raises(SpaceMismatch, match="different space"):
+        ConstraintSystem(XY, ((stranger, Fraction(1)),))
+
+
 def test_counterfactual_system_shape():
     cs = mz_counterfactual()
     assert len(cs.rows) == 13  # twelve pooled rows plus normalization
