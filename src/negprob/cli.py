@@ -476,15 +476,28 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's members; a key given twice is refused, not
+    silently overwritten by the last."""
+    members: dict = {}
+    for key, value in pairs:
+        if key in members:
+            raise ScenarioFormatError(f"key {key!r} given twice in one object")
+        members[key] = value
+    return members
+
+
 def _load_bundle(path: str) -> ScenarioBundle:
     try:
         with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
+            data = json.load(handle, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ScenarioFormatError(
             f"malformed JSON in {path}: {exc.msg} at line {exc.lineno} "
             f"column {exc.colno}"
         ) from exc
+    except ScenarioFormatError:  # a repeated key, already worded
+        raise
     except ValueError as exc:  # bytes that are not UTF-8, overlong integers
         raise ScenarioFormatError(f"cannot read {path}: {exc}") from exc
     return scenario_from_data(data, label=None)

@@ -79,3 +79,21 @@ def random_pair_context(
     return Context(
         variables, tuple(Fraction(w, total) for w in weights)
     )
+
+
+def ncycle(n: int) -> ContextFamily:
+    """Pair contexts on a ring of n variables, unbiased singles.
+
+    Every correlation is +1 except the last edge (V{n-1}, V0), which is -1.
+    """
+    names = tuple(f"V{k}" for k in range(n))
+    contexts = []
+    for k in range(n):
+        e = -1 if k == n - 1 else 1
+        agree, differ = Fraction(1 + e, 4), Fraction(1 - e, 4)
+        contexts.append(
+            Context(
+                (names[k], names[(k + 1) % n]), (agree, differ, differ, agree)
+            )
+        )
+    return ContextFamily(names, tuple(contexts))

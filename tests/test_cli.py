@@ -406,6 +406,41 @@ def test_document_rejections_name_the_fault(tmp_path, capsys, doc, message):
     assert capsys.readouterr().err == f"input error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        (
+            '{"builtin": {"name": "pr-box", '
+            '"params": {"e_ab": "1/2", "e_ab": "1"}}}',
+            "e_ab",
+        ),
+        (
+            '{"variables": ["X"], "constraints": '
+            '[{"event": {"X": 1, "X": -1}, "value": "1/4"}]}',
+            "X",
+        ),
+        (
+            '{"variables": ["X"], "contexts": [{"variables": ["X"], '
+            '"distribution": {"+": "1", "+": "0", "-": "1"}}]}',
+            "+",
+        ),
+        (
+            '{"variables": ["X"], "variables": ["Y"], "contexts": []}',
+            "variables",
+        ),
+    ],
+)
+def test_repeated_json_keys_are_refused(tmp_path, capsys, text, key):
+    """The last of two equal keys used to win without a word."""
+    path = tmp_path / "repeated.json"
+    path.write_text(text, encoding="utf-8")
+    for command in ("solve", "viable"):
+        assert run([command, str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"input error: key {key!r} given twice in one object\n"
+        )
+
+
 def test_non_utf8_file_is_an_input_error(tmp_path, capsys):
     path = tmp_path / "latin1.json"
     path.write_bytes('{"variables": ["Ä"]}'.encode("latin-1"))

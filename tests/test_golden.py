@@ -4,14 +4,16 @@
 every built-in in both formats, of each file subcommand on the scenario
 documents next to it, and of a few rejected commands.
 ``tests/golden/ncycles.json`` holds status, M*, rank/nullity and witness
-masses for the n-cycle families n = 3..10.  ``tests/golden/witnesses.json``
+masses for the n-cycle families n = 3..14.  ``tests/golden/witnesses.json``
 holds the ``minimize_l1`` status, M*, rank and witness and the
 ``feasible_proper`` witness (or null) of every built-in and of 200 seeded
 random systems, whose negative row values exercise the row-flip path;
 the 100 on up to four variables and eight rows include degenerate ties
 that the leaving row's tie-break decides.
-All were captured from the dense-tableau solver; a change that moves one
-byte of them changes the Bland path or the rendering and must say so.
+All were captured from the dense-tableau solver, except the n-cycles
+n = 11..14, which were captured from the revised simplex while it still
+priced by scanning every atom; a change that moves one byte of them
+changes the Bland path or the rendering and must say so.
 
 To rewrite the data (only from a commit whose outputs are trusted):
 
@@ -24,25 +26,23 @@ import io
 import json
 import random
 from contextlib import redirect_stderr, redirect_stdout
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from negprob import (
     ConstraintSystem,
-    Context,
-    ContextFamily,
     SignedMeasure,
     family_system,
     feasible_proper,
     minimize_l1,
     rank_nullity,
 )
+from negprob import solver
 from negprob.cli import run
 from negprob.scenarios import builtin_bundle
 
-from helpers import random_small_system
+from helpers import ncycle, random_small_system
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -112,24 +112,6 @@ def run_captured(argv: list[str]) -> dict:
     with redirect_stdout(out), redirect_stderr(err):
         code = run(resolved)
     return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
-
-
-def ncycle(n: int) -> ContextFamily:
-    """Pair contexts on a ring of n variables, unbiased singles.
-
-    Every correlation is +1 except the last edge (V{n-1}, V0), which is -1.
-    """
-    names = tuple(f"V{k}" for k in range(n))
-    contexts = []
-    for k in range(n):
-        e = -1 if k == n - 1 else 1
-        agree, differ = Fraction(1 + e, 4), Fraction(1 - e, 4)
-        contexts.append(
-            Context(
-                (names[k], names[(k + 1) % n]), (agree, differ, differ, agree)
-            )
-        )
-    return ContextFamily(names, tuple(contexts))
 
 
 def masses(m: SignedMeasure | None) -> dict[str, str] | None:
@@ -210,7 +192,7 @@ def test_cli_output_matches_golden(key):
     assert got["stderr"] == expected["stderr"]
 
 
-@pytest.mark.parametrize("n", range(3, 11))
+@pytest.mark.parametrize("n", range(3, 15))
 def test_ncycle_solve_matches_golden(n):
     assert ncycle_solve(n) == NCYCLE_GOLDEN[str(n)]
 
@@ -222,6 +204,18 @@ def test_witness_golden_covers_every_system():
 @pytest.mark.parametrize("key", list(WITNESS_GOLDEN))
 def test_witnesses_match_golden(key):
     assert witness_solve(SYSTEMS[key]) == WITNESS_GOLDEN[key]
+
+
+def test_elimination_pricing_matches_every_golden_solve(monkeypatch):
+    """The golden systems that the solver prices by scanning, priced by
+    variable elimination instead: the search returns the scan's atom, so
+    every witness, rank and M* stays the same."""
+    monkeypatch.setattr(solver, "SCAN_PER_TABLE", 0)
+    for key, system in SYSTEMS.items():
+        assert solver._RevisedLP(system, split=True).elim is not None
+        assert witness_solve(system) == WITNESS_GOLDEN[key], key
+    for n in range(3, 9):
+        assert ncycle_solve(n) == NCYCLE_GOLDEN[str(n)], n
 
 
 def _write(name: str, data: dict) -> None:
@@ -237,7 +231,7 @@ if WRITING:
             for argv in cli_commands()
         },
     )
-    _write("ncycles.json", {str(n): ncycle_solve(n) for n in range(3, 11)})
+    _write("ncycles.json", {str(n): ncycle_solve(n) for n in range(3, 15)})
     _write(
         "witnesses.json",
         {key: witness_solve(system) for key, system in SYSTEMS.items()},

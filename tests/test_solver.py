@@ -6,6 +6,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from negprob import (
     ConstraintSystem,
@@ -35,10 +37,17 @@ from negprob import (
     verify_member,
 )
 from negprob.scenarios import BUILTINS, builtin_bundle
-from negprob.solver import _drop_redundant, _phase1, _phase2, _RevisedLP
+from negprob.solver import (
+    _cylinder_of,
+    _drop_redundant,
+    _Elimination,
+    _phase1,
+    _phase2,
+    _RevisedLP,
+)
 
 from gridsearch import grid_minimum, parameterization
-from helpers import mz_family, random_small_system
+from helpers import mz_family, ncycle, random_small_system
 
 XY = build_space(("X", "Y"))
 
@@ -436,6 +445,115 @@ def test_coprime_denominators_signed():
     assert 1 + 2 * COPRIME[0] <= result.mstar <= l1_norm(hidden)
     assert verify_member(cs, result.witness, result.mstar)
     assert feasible_proper(cs) is None
+
+
+# -- pricing by variable elimination ---------------------------------------
+
+
+@st.composite
+def cylinder_prices(draw):
+    """Cylinder rows (mask, want) over up to 8 variables and an integer
+    price per row.  Every draw also carries a mask-0 row, a singleton row
+    and a row over the first and last variable, which keeps the first
+    variable on the frontier to the end; random masks add rows over other
+    non-adjacent variables.  Prices include zeros and both signs."""
+    nvars = draw(st.integers(1, 8))
+    full = (1 << nvars) - 1
+    masks = draw(st.lists(st.integers(0, full), max_size=8))
+    masks += [0, full, 1 | 1 << (nvars - 1)]
+    rows = [(mask, mask & draw(st.integers(0, full))) for mask in masks]
+    y = draw(
+        st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows))
+    )
+    return nvars, rows, y
+
+
+@settings(max_examples=300, deadline=None)
+@given(cylinder_prices(), st.integers(0, 3))
+def test_elimination_search_matches_brute_force(case, cost):
+    nvars, rows, y = case
+    prices = [
+        sum(v for (mask, want), v in zip(rows, y) if atom & mask == want)
+        for atom in range(1 << nvars)
+    ]
+
+    def first(test):
+        return next((a for a, w in enumerate(prices) if test(w)), -1)
+
+    elim = _Elimination(rows, nvars)
+    assert elim.lowest(y, cost) == first(lambda w: w > cost)
+    assert elim.lowest([-v for v in y], cost) == first(lambda w: w < -cost)
+    assert elim.lowest_nonzero(y) == first(lambda w: w != 0)
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.tuples(st.just(n), st.sets(st.integers(0, (1 << n) - 1)))
+))
+def test_cylinder_read_matches_brute_force(case):
+    nvars, atoms = case
+    space = build_space(("W", "X", "Y", "Z")[:nvars])
+    cylinders = {
+        frozenset(a for a in space.atoms() if a & mask == want): (mask, want)
+        for mask in space.atoms()
+        for want in space.atoms()
+        if want & mask == want
+    }
+    assert _cylinder_of(Event(space, atoms)) == cylinders.get(frozenset(atoms))
+
+
+def test_pricing_path_follows_the_counts():
+    """Built-ins and cycles up to 8 variables scan; larger cycles
+    eliminate.  A row that is not a cylinder keeps even a large cycle on
+    the scan."""
+    for name in BUILTINS:
+        payload = builtin_bundle(name, {}).payload
+        cs = (
+            payload
+            if isinstance(payload, ConstraintSystem)
+            else family_system(payload)
+        )
+        assert _RevisedLP(cs, split=True).elim is None, name
+    for n in range(3, 12):
+        lp = _RevisedLP(family_system(ncycle(n)), split=True)
+        assert (lp.elim is not None) == (n >= 9), n
+
+
+def test_non_cylinder_rows_are_priced_by_the_scan():
+    equal = Event.of(XY, [0, 3])  # X == Y
+    either = cylinder(XY, {"X": 1}) | cylinder(XY, {"Y": 1})
+    assert _cylinder_of(equal) is None and _cylinder_of(either) is None
+    cs = ConstraintSystem(
+        XY,
+        (
+            (equal, Fraction(1, 2)),
+            (either, Fraction(5, 4)),
+            (Event.full(XY), Fraction(1)),
+        ),
+    )
+    result = minimize_l1(cs)
+    assert result.status is SolveStatus.SIGNED_FEASIBLE_ONLY
+    assert verify_member(cs, result.witness, result.mstar)
+    assert_grid_confirms(cs, expect=Fraction(3, 2))
+    _, _, free_cols = parameterization(cs)
+    expected = (cs.space.atom_count - len(free_cols), len(free_cols))
+    assert (result.rank, result.nullity) == expected == (3, 1)
+    assert rank_nullity(cs) == expected
+
+
+def test_non_cylinder_row_on_a_large_cycle():
+    """V0 == V1 holds with mass 1 on the 10-cycle (its first edge has
+    correlation +1), so the extra row changes no answer, only the path."""
+    cycle = family_system(ncycle(10))
+    space = cycle.space
+    equal = Event.of(space, (a for a in space.atoms() if a & 1 == a >> 1 & 1))
+    cs = ConstraintSystem(space, cycle.rows + ((equal, Fraction(1)),))
+    assert _RevisedLP(cycle, split=True).elim is not None
+    assert _RevisedLP(cs, split=True).elim is None
+    expected, result = minimize_l1(cycle), minimize_l1(cs)
+    assert result.status is expected.status
+    assert result.mstar == expected.mstar == Fraction(5, 4)
+    assert (result.rank, result.nullity) == (expected.rank, expected.nullity)
+    assert verify_member(cs, result.witness, result.mstar)
 
 
 # -- performance ------------------------------------------------------------
