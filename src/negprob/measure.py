@@ -123,27 +123,30 @@ def build_space(names: Sequence[str]) -> SampleSpace:
 
 @dataclass(frozen=True)
 class Event:
-    """A set of atoms of one sample space."""
+    """A set of atoms of one sample space.
+
+    ``cylinder`` is the ``(mask, want)`` that :func:`cylinder` built it
+    from (its atoms are those with ``atom & mask == want``), else None.
+    It is recorded, never derived, and ignored by ``==`` and ``hash``.
+    """
 
     space: SampleSpace
     atoms: frozenset[int]
+    cylinder: tuple[int, int] | None = field(
+        default=None, init=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "atoms", frozenset(self.atoms))
-        count = self.space.atom_count
-        for atom in self.atoms:
-            if not 0 <= atom < count:
-                raise ValueError(
-                    f"atom index {atom} outside space of {count} atoms"
-                )
+        _check_atoms(self.space, self.atoms)
 
     @classmethod
     def of(cls, space: SampleSpace, atoms: Iterable[int]) -> "Event":
         return cls(space, frozenset(atoms))
 
-    @classmethod
-    def full(cls, space: SampleSpace) -> "Event":
-        return cls(space, frozenset(space.atoms()))
+    @staticmethod
+    def full(space: SampleSpace) -> "Event":
+        return cylinder(space, {})
 
     @classmethod
     def empty(cls, space: SampleSpace) -> "Event":
@@ -162,9 +165,7 @@ class Event:
         return Event(self.space, self.atoms | other.atoms)
 
     def __invert__(self) -> "Event":
-        return Event(
-            self.space, frozenset(self.space.atoms()) - self.atoms
-        )
+        return Event(self.space, frozenset(self.space.atoms()) - self.atoms)
 
     def __contains__(self, atom: int) -> bool:
         return atom in self.atoms
@@ -211,7 +212,30 @@ def cylinder(space: SampleSpace, partial: Mapping[str, int]) -> Event:
     singleton.
     """
     mask, want = _mask_want(space, partial)
-    return Event.of(space, (a for a in space.atoms() if a & mask == want))
+    free = (space.atom_count - 1) ^ mask
+    event = Event(space, frozenset(_subsets(free, want)))
+    object.__setattr__(event, "cylinder", (mask, want))
+    return event
+
+
+def _subsets(mask: int, base: int = 0) -> list[int]:
+    """base | s for each subset s of mask, ascending if base & mask == 0."""
+    out = [base]
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        out += [s | bit for s in out]
+    return out
+
+
+def _check_atoms(space: SampleSpace, atoms: Iterable[object]) -> None:
+    """The one atom index check: an int (not a bool) below atom_count."""
+    count = space.atom_count
+    for atom in atoms:
+        if type(atom) is not int or not 0 <= atom < count:
+            raise ValueError(
+                f"atom index {atom!r} outside space of {count} atoms"
+            )
 
 
 @dataclass(frozen=True)
@@ -242,6 +266,7 @@ class SignedMeasure:
     def from_sparse(
         cls, space: SampleSpace, entries: Mapping[int, object]
     ) -> "SignedMeasure":
+        _check_atoms(space, entries)
         mass = [Fraction(0)] * space.atom_count
         for atom, value in entries.items():
             mass[atom] = as_fraction(value)

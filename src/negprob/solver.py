@@ -18,9 +18,9 @@ are exact integer arithmetic.  Bland's rule (lowest eligible
 index enters, ties on the leaving row broken by lowest basis index)
 guarantees termination and makes every returned witness deterministic.
 Pricing finds the lowest atom whose price passes a test.  Small systems
-scan all atoms for it.  When every row is a cylinder (the atoms that
-agree with a partial assignment) and a scan would cost far more than a
-DP over the variables, the same atom is found by variable elimination
+scan all atoms for it.  When every row carries the cylinder (mask, want)
+that measure.cylinder built it from and a scan would cost far more than
+a DP over the variables, the same atom is found by variable elimination
 (Dechter, "Bucket elimination", 1999) without enumerating the atoms.
 Each decision reads only entries of B^-1 A and the reduced costs, which
 the basis alone fixes, so from the same start basis and column order
@@ -37,9 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import reduce
 from math import lcm
-from operator import add, and_, or_
+from operator import add
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -52,6 +51,7 @@ from .measure import (
     Event,
     SampleSpace,
     SignedMeasure,
+    _subsets,
     as_fraction,
     cylinder,
     event_mass,
@@ -134,7 +134,7 @@ def assemble(
     seen: dict[object, Fraction] = {}
 
     def add(event: Event, value: Fraction) -> None:
-        key = (event.atoms, value) if keep_contradictions else event.atoms
+        key = (event.cylinder, value if keep_contradictions else None)
         if key not in seen:
             seen[key] = value
             rows.append((event, value))
@@ -164,22 +164,6 @@ def rank_nullity(cs: ConstraintSystem) -> tuple[int, int]:
 
 
 # --- simplex internals ---------------------------------------------------
-
-
-def _cylinder_of(event: Event) -> tuple[int, int] | None:
-    """(mask, want) with event = {a : a & mask == want}, or None.
-
-    mask holds the bits on which all of the event's atoms agree, so the
-    event lies inside that cylinder and is it exactly when the sizes match.
-    """
-    if not event.atoms:
-        return None
-    full = event.space.atom_count - 1
-    every, some = reduce(and_, event.atoms), reduce(or_, event.atoms)
-    mask = full ^ every ^ some
-    if len(event.atoms) << mask.bit_count() != full + 1:
-        return None
-    return mask, every
 
 
 class _Elimination:
@@ -299,28 +283,18 @@ class _Elimination:
 
 
 def _elimination_if_cheaper(cs: ConstraintSystem) -> _Elimination | None:
-    """The elimination search, when every row is a cylinder and the scan's
-    work, its count of (atom, row) incidences, exceeds SCAN_PER_TABLE
-    times the elimination's table count; else None, for the scan."""
+    """The elimination search when every row carries the cylinder it was built
+    from and the scan's (atom, row) count exceeds SCAN_PER_TABLE times the
+    elimination's table count; else None, for the scan."""
     nvars = len(cs.space.variables)
     scan = sum([len(event.atoms) for event, _ in cs.rows])
-    if scan <= SCAN_PER_TABLE * 2 * nvars:  # 2+ DP entries per variable
-        return None
-    cylinders = [_cylinder_of(event) for event, _ in cs.rows]
-    if None in cylinders:
+    cylinders = [event.cylinder for event, _ in cs.rows]
+    # its table count is at least 2 per variable; below that bound, building
+    # an _Elimination only to discard it would slow small solves measurably
+    if scan <= SCAN_PER_TABLE * 2 * nvars or None in cylinders:
         return None
     elim = _Elimination(cylinders, nvars)
     return elim if scan > SCAN_PER_TABLE * elim.table_count else None
-
-
-def _subsets(mask: int) -> list[int]:
-    """Every s with s & mask == s."""
-    out, s = [], mask
-    while True:
-        out.append(s)
-        if not s:
-            return out
-        s = (s - 1) & mask
 
 
 class _RevisedLP:
@@ -336,8 +310,8 @@ class _RevisedLP:
 
     Pricing finds the lowest atom whose price passes a test, on one of two
     paths that return the same atom: a scan over all atoms, reading each
-    atom's rows from rows_of, or the search of _Elimination, chosen by
-    _elimination_if_cheaper.
+    atom's rows from rows_of, or the search of _Elimination over the rows'
+    recorded cylinders, chosen by _elimination_if_cheaper.
     """
 
     def __init__(self, cs: ConstraintSystem, split: bool) -> None:

@@ -117,7 +117,18 @@ def test_cylinder_matches_brute_force(case):
         for atom in space.atoms()
         if all(space.atom_sign(atom, v) == s for v, s in partial.items())
     }
-    assert cylinder(space, partial).atoms == expected
+    event = cylinder(space, partial)
+    assert event.atoms == expected
+    bits = {name: 1 << i for i, name in enumerate(space.variables)}
+    mask = sum(bits[v] for v in partial)
+    want = sum(bits[v] for v, s in partial.items() if s == +1)
+    assert event.cylinder == (mask, want)
+    # recorded, not part of the value: equal to the same atoms built plainly
+    plain = Event.of(space, expected)
+    assert plain == event and hash(plain) == hash(event)
+    for other in (plain, event & event, event | plain, ~event):
+        assert other.cylinder is None
+    assert Event.empty(space).cylinder is None
 
 
 def test_event_algebra():
@@ -130,10 +141,16 @@ def test_event_algebra():
     assert (a & ~a) == Event.empty(MZ)
 
 
-@pytest.mark.parametrize("atom", [MZ.atom_count, -1])
+@pytest.mark.parametrize(
+    "atom", [MZ.atom_count, -1, -4, 1.5, 2.0, True, "1", None]
+)
 def test_event_rejects_atom_outside_space(atom):
-    with pytest.raises(ValueError, match=f"atom index {atom} outside space"):
+    """Events and sparse measures share one check: an int in range."""
+    match = r"atom index .* outside space of 16 atoms"
+    with pytest.raises(ValueError, match=match):
         Event.of(MZ, [0, atom])
+    with pytest.raises(ValueError, match=match):
+        SignedMeasure.from_sparse(MZ, {0: 1, atom: 1})
 
 
 def test_event_cross_space_operations_rejected():

@@ -38,7 +38,6 @@ from negprob import (
 )
 from negprob.scenarios import BUILTINS, builtin_bundle
 from negprob.solver import (
-    _cylinder_of,
     _drop_redundant,
     _Elimination,
     _phase1,
@@ -486,21 +485,6 @@ def test_elimination_search_matches_brute_force(case, cost):
     assert elim.lowest_nonzero(y) == first(lambda w: w != 0)
 
 
-@given(st.integers(1, 4).flatmap(
-    lambda n: st.tuples(st.just(n), st.sets(st.integers(0, (1 << n) - 1)))
-))
-def test_cylinder_read_matches_brute_force(case):
-    nvars, atoms = case
-    space = build_space(("W", "X", "Y", "Z")[:nvars])
-    cylinders = {
-        frozenset(a for a in space.atoms() if a & mask == want): (mask, want)
-        for mask in space.atoms()
-        for want in space.atoms()
-        if want & mask == want
-    }
-    assert _cylinder_of(Event(space, atoms)) == cylinders.get(frozenset(atoms))
-
-
 def test_pricing_path_follows_the_counts():
     """Built-ins and cycles up to 8 variables scan; larger cycles
     eliminate.  A row that is not a cylinder keeps even a large cycle on
@@ -521,7 +505,7 @@ def test_pricing_path_follows_the_counts():
 def test_non_cylinder_rows_are_priced_by_the_scan():
     equal = Event.of(XY, [0, 3])  # X == Y
     either = cylinder(XY, {"X": 1}) | cylinder(XY, {"Y": 1})
-    assert _cylinder_of(equal) is None and _cylinder_of(either) is None
+    assert equal.cylinder is None and either.cylinder is None
     cs = ConstraintSystem(
         XY,
         (
@@ -542,18 +526,33 @@ def test_non_cylinder_rows_are_priced_by_the_scan():
 
 def test_non_cylinder_row_on_a_large_cycle():
     """V0 == V1 holds with mass 1 on the 10-cycle (its first edge has
-    correlation +1), so the extra row changes no answer, only the path."""
+    correlation +1), so the extra row changes no answer, only the path.
+    The cycle's own rows rebuilt with Event.of are the same atoms with no
+    recorded cylinder: they go to the scan and give the same witness."""
     cycle = family_system(ncycle(10))
     space = cycle.space
     equal = Event.of(space, (a for a in space.atoms() if a & 1 == a >> 1 & 1))
     cs = ConstraintSystem(space, cycle.rows + ((equal, Fraction(1)),))
+    plain = ConstraintSystem(
+        space,
+        tuple((Event.of(space, e.atoms), value) for e, value in cycle.rows),
+    )
+    assert plain.rows == cycle.rows
     assert _RevisedLP(cycle, split=True).elim is not None
     assert _RevisedLP(cs, split=True).elim is None
-    expected, result = minimize_l1(cycle), minimize_l1(cs)
-    assert result.status is expected.status
-    assert result.mstar == expected.mstar == Fraction(5, 4)
-    assert (result.rank, result.nullity) == (expected.rank, expected.nullity)
-    assert verify_member(cs, result.witness, result.mstar)
+    assert _RevisedLP(plain, split=True).elim is None
+    expected = minimize_l1(cycle)
+    for system in (cs, plain):
+        result = minimize_l1(system)
+        assert result.status is expected.status
+        assert result.mstar == expected.mstar == Fraction(5, 4)
+        assert (result.rank, result.nullity) == (
+            expected.rank,
+            expected.nullity,
+        )
+        assert verify_member(system, result.witness, result.mstar)
+        if system is plain:
+            assert result.witness == expected.witness
 
 
 # -- performance ------------------------------------------------------------
