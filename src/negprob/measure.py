@@ -165,7 +165,9 @@ class Event:
         return Event(self.space, self.atoms | other.atoms)
 
     def __invert__(self) -> "Event":
-        return Event(self.space, frozenset(self.space.atoms()) - self.atoms)
+        return Event(
+            self.space, frozenset(self.space.atoms()) - self.atoms
+        )
 
     def __contains__(self, atom: int) -> bool:
         return atom in self.atoms
@@ -229,10 +231,13 @@ def _subsets(mask: int, base: int = 0) -> list[int]:
 
 
 def _check_atoms(space: SampleSpace, atoms: Iterable[object]) -> None:
-    """The one atom index check: an int (not a bool) below atom_count."""
+    """The one atom index check: an int below atom_count.  Int subclasses
+    other than bool pass; a plain int is settled by its type alone."""
     count = space.atom_count
     for atom in atoms:
-        if type(atom) is not int or not 0 <= atom < count:
+        if type(atom) is not int and (
+            isinstance(atom, bool) or not isinstance(atom, int)
+        ) or not 0 <= atom < count:
             raise ValueError(
                 f"atom index {atom!r} outside space of {count} atoms"
             )

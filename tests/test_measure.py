@@ -1,5 +1,7 @@
 """Sample spaces, events, and signed measure operations."""
 
+import re
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -146,11 +148,19 @@ def test_event_algebra():
 )
 def test_event_rejects_atom_outside_space(atom):
     """Events and sparse measures share one check: an int in range."""
-    match = r"atom index .* outside space of 16 atoms"
+    match = rf"atom index {re.escape(repr(atom))} outside space of 16 atoms"
     with pytest.raises(ValueError, match=match):
         Event.of(MZ, [0, atom])
     with pytest.raises(ValueError, match=match):
         SignedMeasure.from_sparse(MZ, {0: 1, atom: 1})
+
+
+def test_atom_index_may_be_an_int_subclass():
+    """Only bools are refused among ints: an IntEnum index names its atom."""
+    Atom = IntEnum("Atom", {"LAST": MZ.atom_count - 1})
+    assert Event.of(MZ, [Atom.LAST]) == Event.of(MZ, [15])
+    measure = SignedMeasure.from_sparse(MZ, {Atom.LAST: 1})
+    assert measure.mass[15] == 1 and measure.total() == 1
 
 
 def test_event_cross_space_operations_rejected():
