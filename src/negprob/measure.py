@@ -215,7 +215,10 @@ def cylinder(space: SampleSpace, partial: Mapping[str, int]) -> Event:
     """
     mask, want = _mask_want(space, partial)
     free = (space.atom_count - 1) ^ mask
-    event = Event(space, frozenset(_subsets(free, want)))
+    # every want | s is an atom of space, so Event's atom check is skipped
+    event = object.__new__(Event)
+    object.__setattr__(event, "space", space)
+    object.__setattr__(event, "atoms", frozenset(_subsets(free, want)))
     object.__setattr__(event, "cylinder", (mask, want))
     return event
 

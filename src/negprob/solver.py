@@ -20,8 +20,10 @@ guarantees termination and makes every returned witness deterministic.
 Pricing finds the lowest atom whose price passes a test.  Small systems
 scan all atoms for it.  When every row carries the cylinder (mask, want)
 that measure.cylinder built it from and a scan would cost far more than
-a DP over the variables, the same atom is found by variable elimination
+a DP over the variables, the same atom is found by bucket elimination
 (Dechter, "Bucket elimination", 1999) without enumerating the atoms.
+The search for a redundant row's first nonzero entry tries only the
+atoms whose bits lie inside some row's mask, which is exact.
 Each decision reads only entries of B^-1 A and the reduced costs, which
 the basis alone fixes, so from the same start basis and column order
 this solver visits exactly the bases a dense tableau would, and returns
@@ -62,9 +64,9 @@ ASSEMBLE_VALUE_BOUND = Fraction(10) ** 9
 # Pricing eliminates variables instead of scanning atoms when the scan's
 # (atom, row) count exceeds this many times the elimination's table count.
 # Timed with CPython 3.11 on one x86-64 core over 34 cylinder systems of
-# 6 to 12 variables, 48 and 64 both gave the least total solve time; 32
-# and 96 were slower.
-SCAN_PER_TABLE = 64
+# 6 to 12 variables, 32 and 40 gave the least total solve time; 16 and 64
+# were slower.
+SCAN_PER_TABLE = 32
 
 
 class SolveStatus(Enum):
@@ -168,130 +170,104 @@ def rank_nullity(cs: ConstraintSystem) -> tuple[int, int]:
 
 class _Elimination:
     """Exact search for the lowest atom a whose price
-    w(a) = sum_r y_r [a & mask_r == want_r] exceeds a cost, by variable
-    elimination over the cylinder rows (Dechter's bucket elimination).
+    w(a) = sum_r y_r [a & mask_r == want_r] exceeds a cost, by bucket
+    elimination over the cylinder rows (Dechter, "Bucket elimination",
+    1999).
 
-    A DP over the variables in index order keeps, after variable k, the
-    max over the variables up to k of the rows whose top bit is at most k,
-    per assignment of the frontier F_k: the variables up to k that share a
-    row mask with a later variable.  The search then fixes bits from the
-    highest down, keeping a bit 0 while the exact max over the bits still
-    free exceeds the cost.  So it returns the atom a scan in index order
-    returns.  w < -cost is w > cost on -y.
+    Each row sits in the bucket of its lowest bit.  Eliminating the
+    variables in index order leaves, after variable k, a table of the max
+    over the variables up to k of the rows in buckets up to k, keyed on
+    the assignments of U_k: the later variables that those rows also
+    hold.  The search then fixes bits from the highest down.  With bits
+    j and up fixed, the best price is the rows in buckets j and up, which
+    those bits decide, plus one lookup in the table of U_(j-1); bit j
+    stays 0 while that still exceeds the cost.  So it returns the atom a
+    scan in index order returns.  w < -cost is w > cost on -y.
     """
 
     def __init__(self, cylinders: list[tuple[int, int]], nvars: int) -> None:
         self.masks = [mask for mask, _ in cylinders]
         self.wants = [want for _, want in cylinders]
         self.const = [r for r, mask in enumerate(self.masks) if not mask]
-        self.by_hi: list[list[int]] = [[] for _ in range(nvars)]
+        self.bucket: list[list[int]] = [[] for _ in range(nvars)]
         for r, mask in enumerate(self.masks):
             if mask:
-                self.by_hi[mask.bit_length() - 1].append(r)
-        later, self.frontier = 0, [0] * nvars
-        for k in range(nvars - 1, -1, -1):
-            self.frontier[k] = later & ((2 << k) - 1)
-            for r in self.by_hi[k]:
-                later |= self.masks[r]
-        # the DP's entries: the assignments of F_{k-1} and bit k, per k
-        self.table_count = sum(
-            2 << f.bit_count() for f in [0] + self.frontier[:-1]
-        )
+                self.bucket[(mask & -mask).bit_length() - 1].append(r)
+        held, self.later = 0, [0]  # later[k + 1] is U_k
+        for k, rows in enumerate(self.bucket):
+            for r in rows:
+                held |= self.masks[r]
+            held &= -2 << k
+            self.later.append(held)
+        # the tables' entries: the assignments of U_k and bit k, per k
+        self.table_count = sum(2 << u.bit_count() for u in self.later[1:])
         self.plan: list[tuple] = []
 
     def _build_plan(self) -> None:
-        """Per variable k: the keys of its table (the assignments of F_k);
-        the assignments s of F_{k-1} and bit k, sorted into equal groups
-        by s & F_k, as the index of s & F_{k-1} in the previous table; and
-        the rows with top bit k that each s meets, as layers of row
-        indices padded with len(masks), whose y is 0."""
+        """Per variable k: the index of each assignment of U_(k-1) in the
+        table before k; for each assignment s of U_k and bit k, paired on
+        bit k, the index of s & U_(k-1); and the rows of bucket k that each
+        s meets, as layers of row indices padded with len(masks), whose y
+        is 0."""
         masks, wants = self.masks, self.wants
-        keys, pad = [0], len(masks)
-        for k, fk in enumerate(self.frontier):
-            span = (self.frontier[k - 1] if k else 0) | 1 << k
-            prev_index = {key: i for i, key in enumerate(keys)}
-            spans = sorted(_subsets(span), key=lambda s: s & fk)
-            keys = sorted(_subsets(fk))
+        index, pad = {0: 0}, len(masks)
+        for k, rows in enumerate(self.bucket):
+            keys = sorted(_subsets(self.later[k + 1]))
+            spans = [key | bit for key in keys for bit in (0, 1 << k)]
             met = [
-                [r for r in self.by_hi[k] if s & masks[r] == wants[r]]
-                for s in spans
+                [r for r in rows if s & masks[r] == wants[r]] for s in spans
             ]
             layers = [
-                [rows[i] if i < len(rows) else pad for rows in met]
+                [hit[i] if i < len(hit) else pad for hit in met]
                 for i in range(max(map(len, met)))
             ]
-            prev = [prev_index[s & ~(1 << k)] for s in spans]
-            self.plan.append((keys, prev, layers, len(spans) // len(keys)))
+            prev = [index[s & self.later[k]] for s in spans]
+            self.plan.append((index, prev, layers))
+            index = {key: i for i, key in enumerate(keys)}
 
-    def _forward(self, y: list[int]) -> list[tuple[list[int], list[int]]]:
-        """Per variable k, the keys of F_k and the max of the partial
-        price over the variables up to k at each key."""
+    def lowest(self, y: list[int], cost: int) -> int:
+        """Lowest atom a with w(a) > cost, or -1."""
         if not self.plan:
             self._build_plan()
         get = (y + [0]).__getitem__
-        tables = []
-        top = [0]
-        for keys, prev, layers, width in self.plan:
+        tables, top = [[0]], [0]  # tables[k]: the table before variable k
+        for _, prev, layers in self.plan:
             part = list(map(top.__getitem__, prev))
             for layer in layers:
                 part = list(map(add, part, map(get, layer)))
-            if width > 1:
-                top = list(map(max, *[part[i::width] for i in range(width)]))
-            else:
-                top = part
-            tables.append((keys, top))
-        return tables
-
-    def lowest(self, y: list[int], cost: int) -> int:
-        """Lowest atom a with w(a) > cost, or -1.
-
-        Going down from the top bit, base is the price of the rows that
-        the bits fixed so far decide, and pending holds the rows they
-        still meet that also have a bit below.
-        """
-        tables = self._forward(y)
+            top = list(map(max, part[::2], part[1::2]))
+            tables.append(top)
         masks, wants = self.masks, self.wants
         base = sum([y[r] for r in self.const])
-        if base + tables[-1][1][0] <= cost:
+        if base + top[0] <= cost:
             return -1
-        atom, pending = 0, []
-        for j in range(len(tables) - 1, -1, -1):
-            bit, below = 1 << j, (1 << j) - 1
-            rows = pending + self.by_hi[j]
-            keys, top = tables[j - 1] if j else ([0], [0])
-            # the rows bit j = 0 meets: decided, or left to F_{j-1}'s keys
-            zero = [r for r in rows if not wants[r] & bit]
-            done = base + sum([y[r] for r in zero if not masks[r] & below])
-            rest = [r for r in zero if masks[r] & below]
-            hits = [(masks[r], wants[r], y[r]) for r in rest]
-            best = max([
-                t + sum([v for m, w, v in hits if (f | atom) & m == w])
-                for f, t in zip(keys, top)
-            ])
-            if done + best <= cost:
-                atom |= bit
-                one = [r for r in rows if not (masks[r] ^ wants[r]) & bit]
-                done = base + sum([y[r] for r in one if not masks[r] & below])
-                rest = [r for r in one if masks[r] & below]
-            base, pending = done, rest
+        atom = 0
+        for j in range(len(self.bucket) - 1, -1, -1):
+            index = self.plan[j][0]
+            rest = tables[j][index[atom & self.later[j]]]
+            rows = self.bucket[j]
+            zero = sum([y[r] for r in rows if atom & masks[r] == wants[r]])
+            if base + zero + rest > cost:
+                base += zero
+            else:
+                atom |= 1 << j
+                base += sum(
+                    [y[r] for r in rows if atom & masks[r] == wants[r]]
+                )
         return atom
 
-    def lowest_nonzero(self, y: list[int]) -> int:
-        """Lowest atom a with w(a) != 0, or -1."""
-        found = [self.lowest(y, 0), self.lowest([-x for x in y], 0)]
-        return min([atom for atom in found if atom >= 0], default=-1)
 
-
-def _elimination_if_cheaper(cs: ConstraintSystem) -> _Elimination | None:
+def _elimination_if_cheaper(
+    cs: ConstraintSystem, cylinders: list[tuple[int, int]] | None
+) -> _Elimination | None:
     """The elimination search when every row carries the cylinder it was built
     from and the scan's (atom, row) count exceeds SCAN_PER_TABLE times the
     elimination's table count; else None, for the scan."""
     nvars = len(cs.space.variables)
     scan = sum([len(event.atoms) for event, _ in cs.rows])
-    cylinders = [event.cylinder for event, _ in cs.rows]
     # its table count is at least 2 per variable; below that bound, building
     # an _Elimination only to discard it would slow small solves measurably
-    if scan <= SCAN_PER_TABLE * 2 * nvars or None in cylinders:
+    if scan <= SCAN_PER_TABLE * 2 * nvars or cylinders is None:
         return None
     elim = _Elimination(cylinders, nvars)
     return elim if scan > SCAN_PER_TABLE * elim.table_count else None
@@ -311,13 +287,18 @@ class _RevisedLP:
     Pricing finds the lowest atom whose price passes a test, on one of two
     paths that return the same atom: a scan over all atoms, reading each
     atom's rows from rows_of, or the search of _Elimination over the rows'
-    recorded cylinders, chosen by _elimination_if_cheaper.
+    recorded cylinders, chosen by _elimination_if_cheaper.  cylinders is
+    None when some row is not a cylinder; probes, built on first use,
+    lists first_real's atoms with their rows.
     """
 
     def __init__(self, cs: ConstraintSystem, split: bool) -> None:
         self.n = cs.space.atom_count
         self.ncols = 2 * self.n if split else self.n
-        self.elim = _elimination_if_cheaper(cs)
+        cylinders = [event.cylinder for event, _ in cs.rows]
+        self.cylinders = None if None in cylinders else cylinders
+        self.elim = _elimination_if_cheaper(cs, self.cylinders)
+        self.probes: list[tuple[int, list[int]]] | None = None
         self.rows_of: list[list[int]] = []
         if self.elim is None:
             self.rows_of = [[] for _ in range(self.n)]
@@ -340,14 +321,15 @@ class _RevisedLP:
         if j >= self.ncols:
             r = j - self.ncols
             return [self.flip[r] * row[r] for row in self.adj]
-        atom = j % self.n
-        if self.elim is None:
-            rows = self.rows_of[atom]
-        else:
-            masks, wants = self.elim.masks, self.elim.wants
-            rows = [r for r, m in enumerate(masks) if atom & m == wants[r]]
+        rows = self.rows_at(j % self.n)
         col = [sum(map(row.__getitem__, rows)) for row in self.adj]
         return col if j < self.n else [-x for x in col]
+
+    def rows_at(self, atom: int) -> list[int]:
+        """The rows whose event holds the atom."""
+        if self.elim is None:
+            return self.rows_of[atom]
+        return [r for r, (m, w) in enumerate(self.cylinders) if atom & m == w]
 
     def entering(self, phase1: bool) -> int:
         """First column in Bland order with negative reduced cost, or -1.
@@ -392,11 +374,25 @@ class _RevisedLP:
         return -1
 
     def first_real(self, i: int) -> int:
-        """First real column with a nonzero in tableau row i, or -1."""
+        """First real column with a nonzero in tableau row i, or -1.
+
+        Only the probe atoms are tried: those whose set bits lie inside
+        some row's mask, or every atom when a row is not a cylinder.  That
+        is exact.  A cylinder's indicator, as a polynomial in the bits,
+        has monomials only on subsets of its mask, so the row's entries
+        have a nonzero monomial coefficient only at probes.  At the lowest
+        atom a with a nonzero entry, every atom on a proper subset of a's
+        bits is lower, so its entry is 0, and Möbius inversion makes a's
+        coefficient equal its entry: a is a probe.
+        """
+        if self.probes is None:
+            atoms = range(self.n)
+            if self.cylinders is not None:
+                masks = {mask for mask, _ in self.cylinders}
+                atoms = sorted({a for m in masks for a in _subsets(m)})
+            self.probes = [(atom, self.rows_at(atom)) for atom in atoms]
         row = self.adj[i]
-        if self.elim is not None:
-            return self.elim.lowest_nonzero(row)
-        for atom, rows in enumerate(self.rows_of):
+        for atom, rows in self.probes:
             if sum(map(row.__getitem__, rows)):
                 return atom
         return -1
@@ -453,8 +449,8 @@ def _phase1(cs: ConstraintSystem, split: bool) -> tuple[_RevisedLP, bool]:
 
 def _drop_redundant(lp: _RevisedLP) -> None:
     """Pivot artificials out onto their row's first nonzero real column,
-    dropping rows with no such column as redundant.  The kept rows'
-    count is the rank."""
+    found by first_real's sweep over the probe atoms, dropping rows with
+    no such column as redundant.  The kept rows' count is the rank."""
     keep: list[int] = []
     for i in range(len(lp.basis)):
         if lp.basis[i] >= lp.ncols:

@@ -1,5 +1,6 @@
 """Sample spaces, events, and signed measure operations."""
 
+import itertools
 import re
 from enum import IntEnum
 from fractions import Fraction
@@ -131,6 +132,24 @@ def test_cylinder_matches_brute_force(case):
     for other in (plain, event & event, event | plain, ~event):
         assert other.cylinder is None
     assert Event.empty(space).cylinder is None
+
+
+def test_every_cylinder_holds_exactly_its_atoms():
+    """cylinder builds its atoms without Event's atom check, so every
+    partial assignment over 1-5 variables is checked here: its atoms are
+    the ints of range(2^n) that agree with it."""
+    for n in range(1, 6):
+        space = build_space(tuple(f"v{i}" for i in range(n)))
+        for signs in itertools.product((1, -1, 0), repeat=n):
+            partial = {v: s for v, s in zip(space.variables, signs) if s}
+            expected = [
+                atom
+                for atom in range(2**n)
+                if all(space.atom_sign(atom, v) == partial[v] for v in partial)
+            ]
+            atoms = cylinder(space, partial).atoms
+            assert sorted(atoms) == expected
+            assert {type(atom) for atom in atoms} == {int}
 
 
 def test_event_algebra():

@@ -36,6 +36,7 @@ from negprob import (
     validate_kolmogorov,
     verify_member,
 )
+from negprob import solver
 from negprob.scenarios import BUILTINS, builtin_bundle
 from negprob.solver import (
     _drop_redundant,
@@ -482,11 +483,131 @@ def test_elimination_search_matches_brute_force(case, cost):
     elim = _Elimination(rows, nvars)
     assert elim.lowest(y, cost) == first(lambda w: w > cost)
     assert elim.lowest([-v for v in y], cost) == first(lambda w: w < -cost)
-    assert elim.lowest_nonzero(y) == first(lambda w: w != 0)
+
+
+def _cylinder_rows(space, rows, values):
+    """ConstraintSystem rows built by cylinder from (mask, want) pairs."""
+    out = []
+    for (mask, want), value in zip(rows, values):
+        partial = {
+            name: 1 if want >> k & 1 else -1
+            for k, name in enumerate(space.variables)
+            if mask >> k & 1
+        }
+        out.append((cylinder(space, partial), value))
+    return tuple(out)
+
+
+def _check_first_real(nvars, rows, y, c, plain):
+    """first_real against brute force on rows plus a context's rows priced
+    c and the full-space row priced -c, which add 0 to every atom."""
+    full = (1 << nvars) - 1
+    context = 1 | 1 << (nvars - 1)
+    rows = rows + [(context, w) for w in range(full + 1) if w & ~context == 0]
+    y = y + [c] * (len(rows) - len(y))
+    rows, y = rows + [(0, 0)], y + [-c]
+    entries = [
+        sum(v for (mask, want), v in zip(rows, y) if atom & mask == want)
+        for atom in range(full + 1)
+    ]
+    expected = next((a for a, entry in enumerate(entries) if entry), -1)
+    space = build_space(tuple(f"v{k}" for k in range(nvars)))
+    system_rows = _cylinder_rows(space, rows, [Fraction(0)] * len(rows))
+    if plain:
+        (event, value), *rest = system_rows
+        system_rows = ((Event.of(space, event.atoms), value), *rest)
+    cs = ConstraintSystem(space, system_rows)
+    for per_table in (solver.SCAN_PER_TABLE, 0):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver, "SCAN_PER_TABLE", per_table)
+            lp = _RevisedLP(cs, split=False)
+        lp.adj = [y]
+        assert lp.first_real(0) == expected
+        probes = [atom for atom, _ in lp.probes]
+        if plain:
+            assert probes == list(range(full + 1))
+        else:
+            assert probes == [
+                atom
+                for atom in range(full + 1)
+                if any(atom & ~mask == 0 for mask, _ in rows)
+            ]
+    return expected, len(probes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cylinder_prices(), st.integers(1, 3), st.booleans())
+def test_first_real_probes_match_brute_force(case, c, plain):
+    """first_real tries only the probe atoms; it must return the lowest
+    atom of all 2^n with a nonzero entry, or -1 when the prices cancel on
+    every atom.  Each draw is checked on its rows and again on those over
+    at most two variables, which leaves fewer probes than atoms; plain
+    rebuilds the first row with Event.of, which makes every atom a probe."""
+    nvars, rows, y = case
+    _check_first_real(nvars, rows, y, c, plain)
+    kept = [i for i, (mask, _) in enumerate(rows) if mask.bit_count() < 3]
+    _check_first_real(
+        nvars, [rows[i] for i in kept], [y[i] for i in kept], c, plain
+    )
+
+
+def _hidden_system(rng, nvars, plain=False):
+    """Rows read off a hidden signed measure of total 1: 3 * nvars random
+    partial assignments of one to three variables, and all four rows of
+    one variable pair, which with the total-mass row are dependent.  plain
+    adds a row that is not a cylinder, V0 == V1, built with Event.of."""
+    space = build_space(tuple(f"V{k}" for k in range(nvars)))
+    mass = [Fraction(rng.randint(-3, 6), 7) for _ in range(2**nvars - 1)]
+    hidden = SignedMeasure(space, mass + [1 - sum(mass)])
+    partials = []
+    for _ in range(3 * nvars):
+        names = rng.sample(space.variables, rng.randint(1, 3))
+        partials.append({v: rng.choice((1, -1)) for v in names})
+    a, b = rng.sample(space.variables, 2)
+    partials += [{a: s, b: t} for s in (1, -1) for t in (1, -1)]
+    cs = assemble(
+        space, [(p, event_mass(hidden, cylinder(space, p))) for p in partials]
+    )
+    if plain:
+        same = [x for x in space.atoms() if x & 1 == x >> 1 & 1]
+        equal = Event.of(space, same)
+        extra = ((equal, event_mass(hidden, equal)),)
+        cs = ConstraintSystem(space, cs.rows + extra)
+    return cs
+
+
+def test_rank_from_probes_matches_independent_row_reduction():
+    """On n-cycles and on systems read off a hidden measure, the rows
+    dropped as redundant are found by probing far fewer atoms than the
+    space holds, on both pricing paths; rank and nullity still match the
+    grid oracle's own row reduction."""
+    rng = random.Random(10)
+    systems = [(family_system(ncycle(n)), 2 * n + 1) for n in range(3, 11)]
+    for nvars, plain in ((7, False), (8, False), (9, False), (8, True)):
+        cs = _hidden_system(rng, nvars, plain)
+        systems.append((cs, cs.space.atom_count if plain else None))
+    for cs, probes in systems:
+        atoms = cs.space.atom_count
+        _, _, free_cols = parameterization(cs)
+        expected = (atoms - len(free_cols), len(free_cols))
+        for per_table in (solver.SCAN_PER_TABLE, 0):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(solver, "SCAN_PER_TABLE", per_table)
+                assert rank_nullity(cs) == expected
+                result = minimize_l1(cs)
+                assert (result.rank, result.nullity) == expected
+                assert verify_member(cs, result.witness, result.mstar)
+                lp = _RevisedLP(cs, split=False)
+            _drop_redundant(lp)
+            assert len(lp.basis) == expected[0]
+            if probes is None:
+                assert 2 * len(lp.probes) < atoms
+            else:
+                assert len(lp.probes) == probes
 
 
 def test_pricing_path_follows_the_counts():
-    """Built-ins and cycles up to 8 variables scan; larger cycles
+    """Built-ins and cycles up to 7 variables scan; larger cycles
     eliminate.  A row that is not a cylinder keeps even a large cycle on
     the scan."""
     for name in BUILTINS:
@@ -499,7 +620,7 @@ def test_pricing_path_follows_the_counts():
         assert _RevisedLP(cs, split=True).elim is None, name
     for n in range(3, 12):
         lp = _RevisedLP(family_system(ncycle(n)), split=True)
-        assert (lp.elim is not None) == (n >= 9), n
+        assert (lp.elim is not None) == (n >= 8), n
 
 
 def test_non_cylinder_rows_are_priced_by_the_scan():
