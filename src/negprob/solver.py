@@ -17,13 +17,14 @@ rows whose event contains it.  Columns, reduced costs and the ratio test
 are exact integer arithmetic.  Bland's rule (lowest eligible
 index enters, ties on the leaving row broken by lowest basis index)
 guarantees termination and makes every returned witness deterministic.
+Every row is read as disjoint cylinder pieces (mask, want): the one
+measure.cylinder built it from, else one full-mask piece per atom.
 Pricing finds the lowest atom whose price passes a test.  Small systems
-scan all atoms for it.  When every row carries the cylinder (mask, want)
-that measure.cylinder built it from and a scan would cost far more than
-a DP over the variables, the same atom is found by bucket elimination
-(Dechter, "Bucket elimination", 1999) without enumerating the atoms.
-The search for a redundant row's first nonzero entry tries only the
-atoms whose bits lie inside some row's mask, which is exact.
+scan all atoms for it.  When a scan would cost far more than a DP over
+the variables, the same atom is found by bucket elimination over the
+pieces (Dechter, "Bucket elimination", 1999) without enumerating the
+atoms.  The search for a redundant row's first nonzero entry tries only
+the atoms whose bits lie inside some piece's mask, which is exact.
 Each decision reads only entries of B^-1 A and the reduced costs, which
 the basis alone fixes, so from the same start basis and column order
 this solver visits exactly the bases a dense tableau would, and returns
@@ -83,7 +84,9 @@ class ConstraintSystem:
     rows: tuple[tuple[Event, Fraction], ...]
 
     def __post_init__(self) -> None:
-        for event, _ in self.rows:
+        rows = tuple([(e, as_fraction(v)) for e, v in self.rows])
+        object.__setattr__(self, "rows", rows)
+        for event, _ in rows:
             if event.space != self.space:
                 raise SpaceMismatch(
                     "constraint event lives in a different space"
@@ -170,33 +173,33 @@ def rank_nullity(cs: ConstraintSystem) -> tuple[int, int]:
 
 class _Elimination:
     """Exact search for the lowest atom a whose price
-    w(a) = sum_r y_r [a & mask_r == want_r] exceeds a cost, by bucket
-    elimination over the cylinder rows (Dechter, "Bucket elimination",
-    1999).
+    w(a) = sum_r y_r [a in E_r] exceeds a cost, by bucket elimination over
+    the pieces (r, mask, want) of the rows (Dechter, "Bucket elimination",
+    1999).  A row's pieces are disjoint, so w(a) is the sum of y_r over the
+    pieces with a & mask == want.
 
-    Each row sits in the bucket of its lowest bit.  Eliminating the
+    Each piece sits in the bucket of its lowest bit.  Eliminating the
     variables in index order leaves, after variable k, a table of the max
-    over the variables up to k of the rows in buckets up to k, keyed on
-    the assignments of U_k: the later variables that those rows also
+    over the variables up to k of the pieces in buckets up to k, keyed on
+    the assignments of U_k: the later variables that those pieces also
     hold.  The search then fixes bits from the highest down.  With bits
-    j and up fixed, the best price is the rows in buckets j and up, which
+    j and up fixed, the best price is the pieces in buckets j and up, which
     those bits decide, plus one lookup in the table of U_(j-1); bit j
     stays 0 while that still exceeds the cost.  So it returns the atom a
     scan in index order returns.  w < -cost is w > cost on -y.
     """
 
-    def __init__(self, cylinders: list[tuple[int, int]], nvars: int) -> None:
-        self.masks = [mask for mask, _ in cylinders]
-        self.wants = [want for _, want in cylinders]
-        self.const = [r for r, mask in enumerate(self.masks) if not mask]
-        self.bucket: list[list[int]] = [[] for _ in range(nvars)]
-        for r, mask in enumerate(self.masks):
-            if mask:
-                self.bucket[(mask & -mask).bit_length() - 1].append(r)
+    def __init__(
+        self, pieces: list[tuple[int, int, int]], nvars: int
+    ) -> None:
+        self.bucket: list[list[tuple]] = [[] for _ in range(nvars)]
+        for piece in pieces:
+            # a mask-0 piece lands in bucket -1: the last, met by every atom
+            self.bucket[(piece[1] & -piece[1]).bit_length() - 1].append(piece)
         held, self.later = 0, [0]  # later[k + 1] is U_k
-        for k, rows in enumerate(self.bucket):
-            for r in rows:
-                held |= self.masks[r]
+        for k, bucket in enumerate(self.bucket):
+            for _, mask, _ in bucket:
+                held |= mask
             held &= -2 << k
             self.later.append(held)
         # the tables' entries: the assignments of U_k and bit k, per k
@@ -206,19 +209,16 @@ class _Elimination:
     def _build_plan(self) -> None:
         """Per variable k: the index of each assignment of U_(k-1) in the
         table before k; for each assignment s of U_k and bit k, paired on
-        bit k, the index of s & U_(k-1); and the rows of bucket k that each
-        s meets, as layers of row indices padded with len(masks), whose y
-        is 0."""
-        masks, wants = self.masks, self.wants
-        index, pad = {0: 0}, len(masks)
-        for k, rows in enumerate(self.bucket):
+        bit k, the index of s & U_(k-1); and the rows of the pieces of
+        bucket k that each s meets, as layers of row indices padded with
+        -1, which reads the 0 that lowest appends to y."""
+        index = {0: 0}
+        for k, bucket in enumerate(self.bucket):
             keys = sorted(_subsets(self.later[k + 1]))
             spans = [key | bit for key in keys for bit in (0, 1 << k)]
-            met = [
-                [r for r in rows if s & masks[r] == wants[r]] for s in spans
-            ]
+            met = [[r for r, m, w in bucket if s & m == w] for s in spans]
             layers = [
-                [hit[i] if i < len(hit) else pad for hit in met]
+                [hit[i] if i < len(hit) else -1 for hit in met]
                 for i in range(max(map(len, met)))
             ]
             prev = [index[s & self.later[k]] for s in spans]
@@ -226,7 +226,7 @@ class _Elimination:
             index = {key: i for i, key in enumerate(keys)}
 
     def lowest(self, y: list[int], cost: int) -> int:
-        """Lowest atom a with w(a) > cost, or -1."""
+        """Lowest atom a with w(a) > cost, or -1; y has one entry per row."""
         if not self.plan:
             self._build_plan()
         get = (y + [0]).__getitem__
@@ -237,40 +237,29 @@ class _Elimination:
                 part = list(map(add, part, map(get, layer)))
             top = list(map(max, part[::2], part[1::2]))
             tables.append(top)
-        masks, wants = self.masks, self.wants
-        base = sum([y[r] for r in self.const])
-        if base + top[0] <= cost:
+        if top[0] <= cost:
             return -1
-        atom = 0
+        atom = base = 0
         for j in range(len(self.bucket) - 1, -1, -1):
             index = self.plan[j][0]
             rest = tables[j][index[atom & self.later[j]]]
-            rows = self.bucket[j]
-            zero = sum([y[r] for r in rows if atom & masks[r] == wants[r]])
+            bucket = self.bucket[j]
+            zero = sum([y[r] for r, m, w in bucket if atom & m == w])
             if base + zero + rest > cost:
                 base += zero
             else:
                 atom |= 1 << j
-                base += sum(
-                    [y[r] for r in rows if atom & masks[r] == wants[r]]
-                )
+                base += sum([y[r] for r, m, w in bucket if atom & m == w])
         return atom
 
 
-def _elimination_if_cheaper(
-    cs: ConstraintSystem, cylinders: list[tuple[int, int]] | None
-) -> _Elimination | None:
-    """The elimination search when every row carries the cylinder it was built
-    from and the scan's (atom, row) count exceeds SCAN_PER_TABLE times the
-    elimination's table count; else None, for the scan."""
-    nvars = len(cs.space.variables)
-    scan = sum([len(event.atoms) for event, _ in cs.rows])
-    # its table count is at least 2 per variable; below that bound, building
-    # an _Elimination only to discard it would slow small solves measurably
-    if scan <= SCAN_PER_TABLE * 2 * nvars or cylinders is None:
-        return None
-    elim = _Elimination(cylinders, nvars)
-    return elim if scan > SCAN_PER_TABLE * elim.table_count else None
+def _pieces(event: Event) -> list[tuple[int, int]]:
+    """Disjoint cylinders (mask, want) whose union is the event: the one it
+    was built from, else one full-mask piece per atom, ascending."""
+    if event.cylinder is not None:
+        return [event.cylinder]
+    full = event.space.atom_count - 1
+    return [(full, atom) for atom in sorted(event.atoms)]
 
 
 class _RevisedLP:
@@ -284,26 +273,40 @@ class _RevisedLP:
     column ncols + r, flip_r * e_r with flip_r = -1 on a negative value:
     flipping the row instead gives the same tableau B^-1 A.
 
-    Pricing finds the lowest atom whose price passes a test, on one of two
-    paths that return the same atom: a scan over all atoms, reading each
-    atom's rows from rows_of, or the search of _Elimination over the rows'
-    recorded cylinders, chosen by _elimination_if_cheaper.  cylinders is
-    None when some row is not a cylinder; probes, built on first use,
-    lists first_real's atoms with their rows.
+    Every row is read once, by _pieces, into pieces (r, mask, want): the
+    disjoint cylinders of row r.  Pricing finds the lowest atom whose price
+    passes a test, on one of two paths that return the same atom: a scan
+    over all atoms, reading each atom's rows from rows_of, or the search of
+    _Elimination over the pieces, taken when the scan's (atom, row) count
+    exceeds SCAN_PER_TABLE times its table count.  probes, built on first
+    use, lists first_real's atoms with their rows.
     """
 
     def __init__(self, cs: ConstraintSystem, split: bool) -> None:
         self.n = cs.space.atom_count
         self.ncols = 2 * self.n if split else self.n
-        cylinders = [event.cylinder for event, _ in cs.rows]
-        self.cylinders = None if None in cylinders else cylinders
-        self.elim = _elimination_if_cheaper(cs, self.cylinders)
+        nvars = len(cs.space.variables)
+        self.pieces = [
+            (r, *piece)
+            for r, (event, _) in enumerate(cs.rows)
+            for piece in _pieces(event)
+        ]
+        # the pieces are disjoint, so this is the rows' total atom count
+        scan = sum([1 << (nvars - m.bit_count()) for _, m, _ in self.pieces])
+        self.elim: _Elimination | None = None
+        # the table count is at least 2 per variable; below that bound,
+        # building an _Elimination only to discard it would slow small
+        # solves measurably
+        if scan > SCAN_PER_TABLE * 2 * nvars:
+            elim = _Elimination(self.pieces, nvars)
+            if scan > SCAN_PER_TABLE * elim.table_count:
+                self.elim = elim
         self.probes: list[tuple[int, list[int]]] | None = None
         self.rows_of: list[list[int]] = []
         if self.elim is None:
             self.rows_of = [[] for _ in range(self.n)]
-            for r, (event, _) in enumerate(cs.rows):
-                for atom in event.atoms:
+            for r, mask, want in self.pieces:
+                for atom in _subsets((self.n - 1) ^ mask, want):
                     self.rows_of[atom].append(r)
         self.flip = [-1 if value < 0 else 1 for _, value in cs.rows]
         # a list, not a generator: see SignedMeasure.__post_init__
@@ -313,7 +316,10 @@ class _RevisedLP:
             [f if k == r else 0 for k in range(len(self.flip))]
             for r, f in enumerate(self.flip)
         ]
-        self.rhs = [int(abs(value) * self.scale_b) for _, value in cs.rows]
+        self.rhs = [
+            abs(b.numerator) * (self.scale_b // b.denominator)
+            for _, b in cs.rows
+        ]
         self.basis = [self.ncols + r for r in range(len(self.flip))]
 
     def column(self, j: int) -> list[int]:
@@ -329,7 +335,7 @@ class _RevisedLP:
         """The rows whose event holds the atom."""
         if self.elim is None:
             return self.rows_of[atom]
-        return [r for r, (m, w) in enumerate(self.cylinders) if atom & m == w]
+        return [r for r, m, w in self.pieces if atom & m == w]
 
     def entering(self, phase1: bool) -> int:
         """First column in Bland order with negative reduced cost, or -1.
@@ -377,19 +383,18 @@ class _RevisedLP:
         """First real column with a nonzero in tableau row i, or -1.
 
         Only the probe atoms are tried: those whose set bits lie inside
-        some row's mask, or every atom when a row is not a cylinder.  That
-        is exact.  A cylinder's indicator, as a polynomial in the bits,
-        has monomials only on subsets of its mask, so the row's entries
-        have a nonzero monomial coefficient only at probes.  At the lowest
-        atom a with a nonzero entry, every atom on a proper subset of a's
-        bits is lower, so its entry is 0, and Möbius inversion makes a's
-        coefficient equal its entry: a is a probe.
+        some piece's mask.  That is exact.  A piece's indicator, as a
+        polynomial in the bits, has monomials only on subsets of its mask,
+        so the row's entries have a nonzero monomial coefficient only at
+        probes.  At the lowest atom a with a nonzero entry, every atom on a
+        proper subset of a's bits is lower, so its entry is 0, and Möbius
+        inversion makes a's coefficient equal its entry: a is a probe.  A
+        row that is not a cylinder has full-mask pieces, which make every
+        atom a probe.
         """
         if self.probes is None:
-            atoms = range(self.n)
-            if self.cylinders is not None:
-                masks = {mask for mask, _ in self.cylinders}
-                atoms = sorted({a for m in masks for a in _subsets(m)})
+            masks = {mask for _, mask, _ in self.pieces}
+            atoms = sorted({a for m in masks for a in _subsets(m)})
             self.probes = [(atom, self.rows_at(atom)) for atom in atoms]
         row = self.adj[i]
         for atom, rows in self.probes:

@@ -43,6 +43,7 @@ from negprob.solver import (
     _Elimination,
     _phase1,
     _phase2,
+    _pieces,
     _RevisedLP,
 )
 
@@ -128,6 +129,19 @@ def test_system_refuses_an_event_of_another_space():
     stranger = Event.full(build_space(["Q"]))
     with pytest.raises(SpaceMismatch, match="different space"):
         ConstraintSystem(XY, ((stranger, Fraction(1)),))
+
+
+def test_system_stores_row_values_as_fractions():
+    """Row values go through as_fraction: a float or a bool is refused when
+    the system is built, not deep in the solver."""
+    x, full = cylinder(XY, {"X": 1}), Event.full(XY)
+    for bad in (0.5, True):
+        with pytest.raises(TypeError, match="exact rational"):
+            ConstraintSystem(XY, ((x, bad), (full, Fraction(1))))
+    cs = ConstraintSystem(XY, ((x, "1/2"), (full, 1)))
+    assert cs.rows == ((x, Fraction(1, 2)), (full, Fraction(1)))
+    assert [type(value) for _, value in cs.rows] == [Fraction, Fraction]
+    assert minimize_l1(cs).mstar == 1
 
 
 def test_counterfactual_system_shape():
@@ -452,37 +466,65 @@ def test_coprime_denominators_signed():
 
 @st.composite
 def cylinder_prices(draw):
-    """Cylinder rows (mask, want) over up to 8 variables and an integer
-    price per row.  Every draw also carries a mask-0 row, a singleton row
-    and a row over the first and last variable, which keeps the first
-    variable on the frontier to the end; random masks add rows over other
-    non-adjacent variables.  Prices include zeros and both signs."""
+    """Rows over up to 8 variables as pieces (row, mask, want), and an
+    integer price per row.  Each cylinder row is one piece.  Every draw
+    carries a mask-0 row, a singleton row and a row over the first and
+    last variable, which keeps the first variable on the frontier to the
+    end; random masks add rows over other non-adjacent variables.  The
+    last row is not a cylinder: a random atom set, one full-mask piece per
+    atom.  Prices include zeros and both signs."""
     nvars = draw(st.integers(1, 8))
     full = (1 << nvars) - 1
     masks = draw(st.lists(st.integers(0, full), max_size=8))
     masks += [0, full, 1 | 1 << (nvars - 1)]
-    rows = [(mask, mask & draw(st.integers(0, full))) for mask in masks]
-    y = draw(
-        st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows))
-    )
-    return nvars, rows, y
+    pieces = [
+        (r, mask, mask & draw(st.integers(0, full)))
+        for r, mask in enumerate(masks)
+    ]
+    atoms = draw(st.sets(st.integers(0, full)))
+    pieces += [(len(masks), full, atom) for atom in sorted(atoms)]
+    size = len(masks) + 1
+    y = draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size))
+    return nvars, pieces, y
 
 
 @settings(max_examples=300, deadline=None)
 @given(cylinder_prices(), st.integers(0, 3))
 def test_elimination_search_matches_brute_force(case, cost):
-    nvars, rows, y = case
+    nvars, pieces, y = case
     prices = [
-        sum(v for (mask, want), v in zip(rows, y) if atom & mask == want)
+        sum(y[r] for r, mask, want in pieces if atom & mask == want)
         for atom in range(1 << nvars)
     ]
 
     def first(test):
         return next((a for a, w in enumerate(prices) if test(w)), -1)
 
-    elim = _Elimination(rows, nvars)
+    elim = _Elimination(pieces, nvars)
     assert elim.lowest(y, cost) == first(lambda w: w > cost)
     assert elim.lowest([-v for v in y], cost) == first(lambda w: w < -cost)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_pieces_partition_the_event(data):
+    """_pieces gives pairwise-disjoint cylinders whose union is the event,
+    for Event.of atom sets and cylinders over 1-5 variables; a cylinder
+    gives exactly the one it was built from."""
+    nvars = data.draw(st.integers(1, 5))
+    space = build_space(tuple(f"v{k}" for k in range(nvars)))
+    atoms = data.draw(st.sets(st.integers(0, space.atom_count - 1)))
+    names, signs = st.sampled_from(space.variables), st.sampled_from((1, -1))
+    built = cylinder(space, data.draw(st.dictionaries(names, signs)))
+    assert _pieces(built) == [built.cylinder]
+    for event in (Event.of(space, atoms), built):
+        held = [
+            {a for a in space.atoms() if a & mask == want}
+            for mask, want in _pieces(event)
+        ]
+        for one, other in itertools.combinations(held, 2):
+            assert not one & other
+        assert set().union(*held) == event.atoms
 
 
 def _cylinder_rows(space, rows, values):
@@ -542,8 +584,12 @@ def test_first_real_probes_match_brute_force(case, c, plain):
     atom of all 2^n with a nonzero entry, or -1 when the prices cancel on
     every atom.  Each draw is checked on its rows and again on those over
     at most two variables, which leaves fewer probes than atoms; plain
-    rebuilds the first row with Event.of, which makes every atom a probe."""
-    nvars, rows, y = case
+    rebuilds the first row with Event.of, which makes every atom a probe.
+    The draw's last row, not a cylinder, is left out: its full-mask pieces
+    would make every atom a probe in every draw."""
+    nvars, pieces, y = case
+    y = y[:-1]
+    rows = [(mask, want) for r, mask, want in pieces if r < len(y)]
     _check_first_real(nvars, rows, y, c, plain)
     kept = [i for i, (mask, _) in enumerate(rows) if mask.bit_count() < 3]
     _check_first_real(
@@ -623,6 +669,17 @@ def test_pricing_path_follows_the_counts():
         assert (lp.elim is not None) == (n >= 8), n
 
 
+def _assert_elimination_matches_scan(cs):
+    """cs scans by default; with SCAN_PER_TABLE = 0 it eliminates, and
+    minimize_l1 and feasible_proper give the scan's answers and witnesses."""
+    assert _RevisedLP(cs, split=True).elim is None
+    expected = (minimize_l1(cs), feasible_proper(cs))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "SCAN_PER_TABLE", 0)
+        assert _RevisedLP(cs, split=True).elim is not None
+        assert (minimize_l1(cs), feasible_proper(cs)) == expected
+
+
 def test_non_cylinder_rows_are_priced_by_the_scan():
     equal = Event.of(XY, [0, 3])  # X == Y
     either = cylinder(XY, {"X": 1}) | cylinder(XY, {"Y": 1})
@@ -643,13 +700,16 @@ def test_non_cylinder_rows_are_priced_by_the_scan():
     expected = (cs.space.atom_count - len(free_cols), len(free_cols))
     assert (result.rank, result.nullity) == expected == (3, 1)
     assert rank_nullity(cs) == expected
+    _assert_elimination_matches_scan(cs)
 
 
 def test_non_cylinder_row_on_a_large_cycle():
     """V0 == V1 holds with mass 1 on the 10-cycle (its first edge has
     correlation +1), so the extra row changes no answer, only the path.
     The cycle's own rows rebuilt with Event.of are the same atoms with no
-    recorded cylinder: they go to the scan and give the same witness."""
+    recorded cylinder: they go to the scan and give the same witness.
+    Forced onto elimination, the cycle with the extra row and the 6-cycle
+    rebuilt with Event.of give the scan's answers."""
     cycle = family_system(ncycle(10))
     space = cycle.space
     equal = Event.of(space, (a for a in space.atoms() if a & 1 == a >> 1 & 1))
@@ -674,6 +734,15 @@ def test_non_cylinder_row_on_a_large_cycle():
         assert verify_member(system, result.witness, result.mstar)
         if system is plain:
             assert result.witness == expected.witness
+    _assert_elimination_matches_scan(cs)
+    # not plain: its 11k per-atom pieces would make the plan take seconds
+    small = family_system(ncycle(6))
+    _assert_elimination_matches_scan(
+        ConstraintSystem(
+            small.space,
+            tuple((Event.of(small.space, e.atoms), v) for e, v in small.rows),
+        )
+    )
 
 
 # -- performance ------------------------------------------------------------
