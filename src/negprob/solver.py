@@ -14,9 +14,11 @@ inverse of the m rows fraction-free, as an integer m x m adjugate over
 one common denominator det (Edmonds; Bareiss's integer-preserving
 elimination), and stores no column: an atom's column is read off the
 rows whose event contains it.  Columns, reduced costs and the ratio test
-are exact integer arithmetic.  Bland's rule (lowest eligible
-index enters, ties on the leaving row broken by lowest basis index)
-guarantees termination and makes every returned witness deterministic.
+are exact integer arithmetic.  A pivot that keeps det touches only the
+pivot row's nonzero positions, and the prices c_B B^-1 are carried from
+pivot to pivot by the same step, not summed afresh.  Bland's rule
+(lowest eligible index enters, ties on the leaving row broken by lowest
+basis index) guarantees termination and makes every witness deterministic.
 Every row is read as disjoint cylinder pieces (mask, want): the one
 measure.cylinder built it from, else one full-mask piece per atom.
 Pricing finds the lowest atom whose price passes a test.  Small systems
@@ -40,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import compress
 from math import lcm
 from operator import add
 from typing import Iterable, Mapping
@@ -232,10 +235,11 @@ class _Elimination:
         get = (y + [0]).__getitem__
         tables, top = [[0]], [0]  # tables[k]: the table before variable k
         for _, prev, layers in self.plan:
-            part = list(map(top.__getitem__, prev))
+            it = map(top.__getitem__, prev)
             for layer in layers:
-                part = list(map(add, part, map(get, layer)))
-            top = list(map(max, part[::2], part[1::2]))
+                it = map(add, it, map(get, layer))
+            # one iterator twice: max pairs bit k's two halves
+            top = list(map(max, it, it))
             tables.append(top)
         if top[0] <= cost:
             return -1
@@ -337,23 +341,18 @@ class _RevisedLP:
             return self.rows_of[atom]
         return [r for r, m, w in self.pieces if atom & m == w]
 
-    def entering(self, phase1: bool) -> int:
+    def entering(self, phase1: bool, big_y: list[int]) -> int:
         """First column in Bland order with negative reduced cost, or -1.
 
         Phase 1 costs the artificials 1 and the real columns 0; phase 2
-        costs the real columns 1 and prices no artificial.  With Y the
-        column sums of the costed adj rows, det * c_B B^-1, atom a's price
-        w(a) is the sum of Y over its rows, against the cost times det: the
-        plus half enters on w > cost, the minus half on w < -cost.
+        costs the real columns 1 and prices no artificial.  Atom a's price
+        w(a) is the sum over its rows of big_y = det * c_B B^-1, the column
+        sums of the costed adj rows, against the cost times det: the plus
+        half enters on w > cost, the minus half on w < -cost.  big_y is 0
+        only when no row is costed, and then nothing enters.
         """
-        costed = [
-            row
-            for row, col in zip(self.adj, self.basis)
-            if col >= self.ncols or not phase1
-        ]
-        if not costed:
+        if not any(big_y):
             return -1
-        big_y = [sum(entries) for entries in zip(*costed)]
         cost = 0 if phase1 else self.det
         if self.elim is not None:
             atom = self.elim.lowest(big_y, cost)
@@ -403,28 +402,52 @@ class _RevisedLP:
         return -1
 
     def pivot(self, row: int, j: int, col: list[int]) -> None:
-        """Bareiss step on p = col[row]; det becomes |p|.  Each division
-        by the old det is exact (Sylvester's identity); a row with
-        col_i = 0 only rescales by |p| / det."""
+        """Bareiss step on p = col[row]; det becomes q = |p|.  By _bareiss,
+        row i turns into (q * adj_i - col_i * prow) / det, prow being row
+        `row` times the sign of p, unless col_i = 0 and q equals det."""
         p, det = col[row], self.det
         if p < 0:
             self.adj[row] = [-x for x in self.adj[row]]
             self.rhs[row] = -self.rhs[row]
         prow, prhs, q = self.adj[row], self.rhs[row], abs(p)
-        for i, c in enumerate(col):
-            if i != row and (c or q != det):
-                self.adj[i] = [
-                    (q * x - c * y) // det for x, y in zip(self.adj[i], prow)
-                ]
-                self.rhs[i] = (q * self.rhs[i] - c * prhs) // det
+        moved = [i for i, c in enumerate(col) if i != row and (c or q != det)]
+        _bareiss([(self.adj[i], col[i]) for i in moved], prow, q, det)
+        for i in moved:
+            self.rhs[i] = (q * self.rhs[i] - col[i] * prhs) // det
         self.det = q
         self.basis[row] = j
 
 
+def _bareiss(targets: list[tuple], prow: list[int], q: int, det: int) -> None:
+    """Each (row, c) of targets becomes (q * row - c * prow) / det, in
+    place.  Every entry divides exactly (Sylvester's identity), so when q
+    equals det only the nonzeros of prow move, each by c * prow_k / det."""
+    if q == det:
+        nonzero = [(k, y) for k, y in enumerate(prow) if y]
+        for row, c in targets:
+            for k, y in nonzero:
+                row[k] -= c * y // det
+    else:
+        for row, c in targets:
+            row[:] = [(q * x - c * y) // det for x, y in zip(row, prow)]
+
+
 def _bland_iterate(lp: _RevisedLP, phase1: bool) -> None:
-    """Primal simplex to optimality; Bland's rule, so it always halts."""
+    """Primal simplex to optimality; Bland's rule, so it always halts.
+
+    The prices big_y = det * c_B B^-1, the column sums of the costed adj
+    rows, are summed once, then carried through each pivot (the product
+    form of Dantzig and Orchard-Hays, 1954).  As a row with coefficient t,
+    the entering column's sum over the costed rows, big_y turns into the
+    sum of the costed rows other than the leaving row a, which cancels.
+    The ratio test makes p > 0, so a stays the same; adding it when the
+    entering column is costed (e = 1, else 0) gives big_y' =
+    (p * big_y - (t - e * det) * a) / det: one more row for _bareiss.
+    """
+    costed = [col >= lp.ncols or not phase1 for col in lp.basis]
+    big_y = [sum(ys) for ys in zip(*compress(lp.adj, costed))]
     while True:
-        enter = lp.entering(phase1)
+        enter = lp.entering(phase1, big_y)
         if enter < 0:
             return
         col = lp.column(enter)
@@ -440,7 +463,11 @@ def _bland_iterate(lp: _RevisedLP, phase1: bool) -> None:
             # cannot happen for the L1 and feasibility programs solved
             # here (both objectives are bounded below), kept defensive
             raise ArithmeticError("linear program unbounded below")
+        a, det, p = lp.adj[leave], lp.det, col[leave]
+        t = sum(compress(col, costed))
+        e = costed[leave] = enter >= lp.ncols or not phase1
         lp.pivot(leave, enter, col)
+        _bareiss([(big_y, t - e * det)], a, p, det)
 
 
 def _phase1(cs: ConstraintSystem, split: bool) -> tuple[_RevisedLP, bool]:

@@ -207,14 +207,25 @@ def test_witnesses_match_golden(key):
 
 
 def test_elimination_pricing_matches_every_golden_solve(monkeypatch):
-    """The golden systems that the solver prices by scanning, priced by
-    variable elimination instead: the search returns the scan's atom, so
-    every witness, rank and M* stays the same."""
+    """Every golden witness system and the golden n-cycles 3..8, priced by
+    variable elimination, though all of them but the 8-cycle scan by
+    default: the search returns the scan's atom, so every witness, rank
+    and M* stays the same."""
     monkeypatch.setattr(solver, "SCAN_PER_TABLE", 0)
     for key, system in SYSTEMS.items():
         assert solver._RevisedLP(system, split=True).elim is not None
         assert witness_solve(system) == WITNESS_GOLDEN[key], key
     for n in range(3, 9):
+        assert ncycle_solve(n) == NCYCLE_GOLDEN[str(n)], n
+
+
+def test_scan_pricing_matches_the_eliminated_golden_cycles(monkeypatch):
+    """The converse: the golden n-cycles 8..10, which the solver prices by
+    variable elimination, priced by the scan instead."""
+    monkeypatch.setattr(solver, "SCAN_PER_TABLE", 10**9)
+    for n in range(8, 11):
+        system = family_system(ncycle(n))
+        assert solver._RevisedLP(system, split=True).elim is None
         assert ncycle_solve(n) == NCYCLE_GOLDEN[str(n)], n
 
 

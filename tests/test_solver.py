@@ -4,6 +4,7 @@ import itertools
 import random
 import time
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -367,14 +368,15 @@ def assert_adjugate_state(cs, lp):
     adj maps the scaled row values onto rhs."""
     assert lp.det > 0
     m = len(cs.rows)
+    basic = [[_entry(cs, lp, k, col) for k in range(m)] for col in lp.basis]
+    scaled_b = [value * lp.scale_b for _, value in cs.rows]
+    assert {value.denominator for value in scaled_b} == {1}
+    scaled_b = [value.numerator for value in scaled_b]
     for i, row in enumerate(lp.adj):
-        for j, col in enumerate(lp.basis):
-            product = sum(row[k] * _entry(cs, lp, k, col) for k in range(m))
+        for j, column in enumerate(basic):
+            product = sum(map(mul, row, column))
             assert product == (lp.det if i == j else 0)
-        scaled_b = sum(
-            row[k] * value * lp.scale_b for k, (_, value) in enumerate(cs.rows)
-        )
-        assert scaled_b == lp.rhs[i]
+        assert sum(map(mul, row, scaled_b)) == lp.rhs[i]
 
 
 def test_adjugate_invariant_holds_after_every_pivot(monkeypatch):
@@ -667,6 +669,76 @@ def test_pricing_path_follows_the_counts():
     for n in range(3, 12):
         lp = _RevisedLP(family_system(ncycle(n)), split=True)
         assert (lp.elim is not None) == (n >= 8), n
+
+
+def _builtin_systems():
+    systems = []
+    for name in BUILTINS:
+        payload = builtin_bundle(name, {}).payload
+        systems.append(
+            payload
+            if isinstance(payload, ConstraintSystem)
+            else family_system(payload)
+        )
+    return systems
+
+
+def _cycles_and_hidden_systems():
+    """n-cycles 3..10, then three systems read off a hidden measure, of
+    6, 7 and 8 variables."""
+    rng = random.Random(13)
+    return [family_system(ncycle(n)) for n in range(3, 11)] + [
+        _hidden_system(rng, nvars) for nvars in (6, 7, 8)
+    ]
+
+
+def test_carried_prices_are_the_prices(monkeypatch):
+    """The prices _bland_iterate carries through its pivots equal, at every
+    pricing of both phases, the column sums of the costed adj rows summed
+    afresh, on the scan and on elimination."""
+    entering = _RevisedLP.entering
+    phases = set()
+
+    def checked_entering(lp, phase1, big_y):
+        costed = [
+            row
+            for row, col in zip(lp.adj, lp.basis)
+            if col >= lp.ncols or not phase1
+        ]
+        sums = [sum(row[k] for row in costed) for k in range(len(lp.flip))]
+        assert big_y == sums
+        phases.add(phase1)
+        return entering(lp, phase1, big_y)
+
+    monkeypatch.setattr(_RevisedLP, "entering", checked_entering)
+    systems = _builtin_systems() + _cycles_and_hidden_systems()
+    for per_table in (solver.SCAN_PER_TABLE, 0):
+        monkeypatch.setattr(solver, "SCAN_PER_TABLE", per_table)
+        for cs in systems:
+            minimize_l1(cs)
+            feasible_proper(cs)
+    assert phases == {True, False}
+
+
+def test_adjugate_invariant_holds_on_both_pivot_kinds(monkeypatch):
+    """A pivot whose |p| equals det changes adj in place on the pivot
+    row's nonzeros; any other rebuilds every row.  The other invariant
+    test's systems almost never change det, so here the invariant is
+    checked after every pivot of minimize_l1 and feasible_proper on
+    n-cycles and hidden-measure systems, on which both kinds occur."""
+    pivot = _RevisedLP.pivot
+    keeps_det = []
+
+    def checked_pivot(lp, row, j, col):
+        keeps_det.append(abs(col[row]) == lp.det)
+        pivot(lp, row, j, col)
+        assert_adjugate_state(cs, lp)  # the system the loop below solves
+
+    monkeypatch.setattr(_RevisedLP, "pivot", checked_pivot)
+    for cs in _cycles_and_hidden_systems():
+        minimize_l1(cs)
+        feasible_proper(cs)
+    assert True in keeps_det and False in keeps_det
 
 
 def _assert_elimination_matches_scan(cs):
