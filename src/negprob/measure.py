@@ -62,6 +62,7 @@ class SampleSpace:
     variables: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "variables", tuple(self.variables))
         if not self.variables:
             raise InvalidName("a sample space needs at least one variable")
         for name in self.variables:
@@ -118,7 +119,7 @@ class SampleSpace:
 
 def build_space(names: Sequence[str]) -> SampleSpace:
     """Create a sample space with the canonical bit-encoded atom order."""
-    return SampleSpace(tuple(names))
+    return SampleSpace(names)
 
 
 @dataclass(frozen=True)

@@ -9,16 +9,17 @@ answered, all over exact rationals with no tolerances anywhere:
 * what is the minimum of the L1 norm over all signed solutions, with a
   witness measure attaining it.
 
-The optimizer is a two-phase revised primal simplex.  It keeps the basis
-inverse of the m rows fraction-free, as an integer m x m adjugate over
-one common denominator det (Edmonds; Bareiss's integer-preserving
-elimination), and stores no column: an atom's column is read off the
-rows whose event contains it.  Columns, reduced costs and the ratio test
-are exact integer arithmetic.  A pivot that keeps det touches only the
-pivot row's nonzero positions, and the prices c_B B^-1 are carried from
-pivot to pivot by the same step, not summed afresh.  Bland's rule
-(lowest eligible index enters, ties on the leaving row broken by lowest
-basis index) guarantees termination and makes every witness deterministic.
+The optimizer is a two-phase revised primal simplex.  Its one state is
+the integer matrix det B^-1 [I | b scale_b]: the basis inverse of the m
+rows over one denominator det (Edmonds; Bareiss's integer-preserving
+elimination), then the basic values.  It stores no column of A: an atom's
+column is read off the rows whose event contains it.  Columns, reduced
+costs and the ratio test are exact integer arithmetic.  A pivot that
+keeps det touches only the pivot row's nonzeros.  The prices c_B B^-1,
+then the phase's optimum c_B x_B, are carried from pivot to pivot by the
+same step.  Bland's rule (lowest eligible index enters, ties on the
+leaving row go to the lowest basis index) guarantees termination and a
+deterministic witness.
 Every row is read as disjoint cylinder pieces (mask, want): the one
 measure.cylinder built it from, else one full-mask piece per atom.
 Pricing finds the lowest atom whose price passes a test.  Small systems
@@ -267,13 +268,11 @@ def _pieces(event: Event) -> list[tuple[int, int]]:
 
 
 class _RevisedLP:
-    """Integer adjugate adj, its denominator det, basic values rhs and
-    basis for A x = b, x >= 0, with B^-1 = adj / det and det > 0.
-
-    The basic values are x_B = rhs / (det * scale_b), scale_b being the
-    lcm of the row values' denominators, so all state is int.  Real column
-    j is atom j mod N, negated for j >= N (the split's minus half), with a
-    1 on each row whose event holds the atom.  The artificial of row r is
+    """Integer rows adj = det B^-1 [I | b scale_b], det > 0, and basis for
+    A x = b, x >= 0; scale_b is the lcm of the row values' denominators.
+    Row i is basis[i]'s adjugate row, then x_i det scale_b.  Real column j
+    is atom j mod N, negated for j >= N (the split's minus half), with a 1
+    on each row whose event holds the atom.  The artificial of row r is
     column ncols + r, flip_r * e_r with flip_r = -1 on a negative value:
     flipping the row instead gives the same tableau B^-1 A.
 
@@ -318,11 +317,8 @@ class _RevisedLP:
         self.det = 1
         self.adj = [
             [f if k == r else 0 for k in range(len(self.flip))]
-            for r, f in enumerate(self.flip)
-        ]
-        self.rhs = [
-            abs(b.numerator) * (self.scale_b // b.denominator)
-            for _, b in cs.rows
+            + [abs(b.numerator) * (self.scale_b // b.denominator)]
+            for r, (f, (_, b)) in enumerate(zip(self.flip, cs.rows))
         ]
         self.basis = [self.ncols + r for r in range(len(self.flip))]
 
@@ -403,17 +399,14 @@ class _RevisedLP:
 
     def pivot(self, row: int, j: int, col: list[int]) -> None:
         """Bareiss step on p = col[row]; det becomes q = |p|.  By _bareiss,
-        row i turns into (q * adj_i - col_i * prow) / det, prow being row
-        `row` times the sign of p, unless col_i = 0 and q equals det."""
+        row i, value too, turns into (q * adj_i - col_i * prow) / det, prow
+        being row `row` times the sign of p, unless col_i = 0 and q == det."""
         p, det = col[row], self.det
         if p < 0:
             self.adj[row] = [-x for x in self.adj[row]]
-            self.rhs[row] = -self.rhs[row]
-        prow, prhs, q = self.adj[row], self.rhs[row], abs(p)
+        prow, q = self.adj[row], abs(p)
         moved = [i for i, c in enumerate(col) if i != row and (c or q != det)]
         _bareiss([(self.adj[i], col[i]) for i in moved], prow, q, det)
-        for i in moved:
-            self.rhs[i] = (q * self.rhs[i] - col[i] * prhs) // det
         self.det = q
         self.basis[row] = j
 
@@ -432,15 +425,16 @@ def _bareiss(targets: list[tuple], prow: list[int], q: int, det: int) -> None:
             row[:] = [(q * x - c * y) // det for x, y in zip(row, prow)]
 
 
-def _bland_iterate(lp: _RevisedLP, phase1: bool) -> None:
+def _bland_iterate(lp: _RevisedLP, phase1: bool) -> int:
     """Primal simplex to optimality; Bland's rule, so it always halts.
 
-    The prices big_y = det * c_B B^-1, the column sums of the costed adj
-    rows, are summed once, then carried through each pivot (the product
-    form of Dantzig and Orchard-Hays, 1954).  As a row with coefficient t,
-    the entering column's sum over the costed rows, big_y turns into the
-    sum of the costed rows other than the leaving row a, which cancels.
-    The ratio test makes p > 0, so a stays the same; adding it when the
+    The prices big_y = c_B adj, the column sums of the costed rows, are
+    summed once, then carried through each pivot (the product form of
+    Dantzig and Orchard-Hays, 1954).  Its last entry is c_B x_B det
+    scale_b, returned at the optimum.  As a row with coefficient t, the
+    entering column's sum over the costed rows, big_y turns into the sum
+    of the costed rows other than the leaving row a, which cancels.  The
+    ratio test makes p > 0, so a stays the same; adding it when the
     entering column is costed (e = 1, else 0) gives big_y' =
     (p * big_y - (t - e * det) * a) / det: one more row for _bareiss.
     """
@@ -449,14 +443,14 @@ def _bland_iterate(lp: _RevisedLP, phase1: bool) -> None:
     while True:
         enter = lp.entering(phase1, big_y)
         if enter < 0:
-            return
+            return big_y[-1]
         col = lp.column(enter)
         leave = -1
         for i, coef in enumerate(col):
             if coef > 0 and (
                 leave < 0
-                or (lp.rhs[i] * col[leave], lp.basis[i])
-                < (lp.rhs[leave] * coef, lp.basis[leave])
+                or (lp.adj[i][-1] * col[leave], lp.basis[i])
+                < (lp.adj[leave][-1] * coef, lp.basis[leave])
             ):
                 leave = i
         if leave < 0:
@@ -471,12 +465,9 @@ def _bland_iterate(lp: _RevisedLP, phase1: bool) -> None:
 
 
 def _phase1(cs: ConstraintSystem, split: bool) -> tuple[_RevisedLP, bool]:
-    """Phase 1 from the all-artificial basis; (state, x >= 0 exists)."""
+    """Phase 1 from the all-artificial basis; (state, its optimum is 0)."""
     lp = _RevisedLP(cs, split)
-    _bland_iterate(lp, phase1=True)
-    return lp, not any(
-        value for col, value in zip(lp.basis, lp.rhs) if col >= lp.ncols
-    )
+    return lp, _bland_iterate(lp, phase1=True) == 0
 
 
 def _drop_redundant(lp: _RevisedLP) -> None:
@@ -492,24 +483,23 @@ def _drop_redundant(lp: _RevisedLP) -> None:
             lp.pivot(i, col, lp.column(col))
         keep.append(i)
     lp.adj = [lp.adj[i] for i in keep]
-    lp.rhs = [lp.rhs[i] for i in keep]
     lp.basis = [lp.basis[i] for i in keep]
 
 
 def _phase2(lp: _RevisedLP) -> Fraction:
-    """min sum(x) from a feasible basis of real columns; the value."""
-    _bland_iterate(lp, phase1=False)
-    return Fraction(sum(lp.rhs), lp.det * lp.scale_b)
+    """min sum(x) from a feasible basis of real columns: the optimum."""
+    return Fraction(_bland_iterate(lp, phase1=False), lp.det * lp.scale_b)
 
 
 def _witness(lp: _RevisedLP, space: SampleSpace) -> SignedMeasure:
     """Atom masses xp - xn; artificials left in the basis sit at 0."""
     den = lp.det * lp.scale_b
-    mass = [Fraction(0)] * lp.n
-    for col, value in zip(lp.basis, lp.rhs):
-        if col < lp.ncols:
-            mass[col % lp.n] += Fraction(value if col < lp.n else -value, den)
-    return SignedMeasure(space, mass)
+    masses = {
+        col % lp.n: Fraction(row[-1] if col < lp.n else -row[-1], den)
+        for col, row in zip(lp.basis, lp.adj)
+        if col < lp.ncols
+    }
+    return SignedMeasure.from_sparse(space, masses)
 
 
 def _require_normalization(cs: ConstraintSystem) -> None:

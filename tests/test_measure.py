@@ -15,11 +15,13 @@ from negprob import (
     Event,
     InvalidAssignment,
     InvalidName,
+    SampleSpace,
     SignedMeasure,
     SpaceMismatch,
     TooManyVariables,
     UndefinedConditional,
     UnknownVariable,
+    assemble,
     build_space,
     cylinder,
     event_mass,
@@ -31,6 +33,7 @@ from negprob import (
     signed_conditional,
     validate_kolmogorov,
     validate_upper,
+    verify_member,
 )
 from negprob.measure import as_fraction
 
@@ -59,6 +62,20 @@ def test_build_space_rejects_too_many():
 def test_build_space_rejects_empty_name():
     with pytest.raises(InvalidName):
         build_space(("A", ""))
+
+
+def test_space_stores_its_variables_as_a_tuple():
+    """A space built from a list or a generator is the space build_space
+    gives: equal, hashable alike, and good for a measure checked against a
+    system over the other."""
+    listed = SampleSpace(["X", "Y"])
+    built = build_space(["X", "Y"])
+    assert listed.variables == ("X", "Y")
+    assert listed == built and hash(listed) == hash(built)
+    assert SampleSpace(name for name in "XY") == built
+    cs = assemble(built, [({"X": 1}, Fraction(1, 2))])
+    m = SignedMeasure(listed, [Fraction(1, 4)] * 4)
+    assert verify_member(cs, m, 1)
 
 
 def test_atom_labels_first_variable_least_significant():

@@ -376,7 +376,7 @@ def assert_adjugate_state(cs, lp):
         for j, column in enumerate(basic):
             product = sum(map(mul, row, column))
             assert product == (lp.det if i == j else 0)
-        assert sum(map(mul, row, scaled_b)) == lp.rhs[i]
+        assert sum(map(mul, row, scaled_b)) == row[-1]
 
 
 def test_adjugate_invariant_holds_after_every_pivot(monkeypatch):
@@ -705,7 +705,7 @@ def test_carried_prices_are_the_prices(monkeypatch):
             for row, col in zip(lp.adj, lp.basis)
             if col >= lp.ncols or not phase1
         ]
-        sums = [sum(row[k] for row in costed) for k in range(len(lp.flip))]
+        sums = [sum(row[k] for row in costed) for k in range(len(big_y))]
         assert big_y == sums
         phases.add(phase1)
         return entering(lp, phase1, big_y)
@@ -739,6 +739,83 @@ def test_adjugate_invariant_holds_on_both_pivot_kinds(monkeypatch):
         minimize_l1(cs)
         feasible_proper(cs)
     assert True in keeps_det and False in keeps_det
+
+
+def _pivot_counts(monkeypatch):
+    """Per system of the table below: the pivots of minimize_l1 in each
+    step it runs (_phase1, _drop_redundant, _phase2), and of
+    feasible_proper."""
+    calls = []
+    pivot = _RevisedLP.pivot
+
+    def counted_pivot(lp, row, j, col):
+        calls[-1] += 1
+        pivot(lp, row, j, col)
+
+    def counted(step):
+        def run(*args, **kwargs):
+            calls.append(0)
+            return step(*args, **kwargs)
+
+        return run
+
+    monkeypatch.setattr(_RevisedLP, "pivot", counted_pivot)
+    for name in ("_phase1", "_drop_redundant", "_phase2"):
+        monkeypatch.setattr(solver, name, counted(getattr(solver, name)))
+    systems = dict(zip(BUILTINS, _builtin_systems()))
+    for n in range(3, 15):
+        systems[f"cycle-{n}"] = family_system(ncycle(n))
+    for cs in _cycles_and_hidden_systems()[-3:]:
+        systems[f"hidden-{len(cs.space.variables)}"] = cs
+    counts = {}
+    for name, cs in systems.items():
+        calls.clear()
+        minimize_l1(cs)
+        steps = tuple(calls)
+        calls.clear()
+        feasible_proper(cs)
+        counts[name] = (steps, calls[0])
+    return counts
+
+
+# minimize_l1's pivots per step it runs, and feasible_proper's pivots, as
+# Bland's rule takes them from the all-artificial start basis
+PIVOT_COUNTS = {
+    "mz-case-1": ((4, 0, 0), 4),
+    "mz-case-2": ((8, 0, 0), 8),
+    "mz-case-3": ((8, 0, 0), 8),
+    "mz-case-4": ((16, 0, 0), 16),
+    "mz-case-5": ((4, 0, 0), 4),
+    "mz-case-6": ((8, 0, 0), 8),
+    "mz-case-7": ((8, 0, 0), 8),
+    "mz-case-8": ((16, 0, 0), 16),
+    "mz-counterfactual": ((17, 1, 5), 13),
+    "mz-detuned": ((18, 1, 2), 13),
+    "pr-box": ((11, 0, 1), 8),
+    "tsirelson": ((10, 0, 0), 8),
+    "lg-chain": ((9, 0, 1), 6),
+    "cycle-3": ((9, 0, 1), 6),
+    "cycle-4": ((11, 0, 0), 8),
+    "cycle-5": ((13, 0, 2), 10),
+    "cycle-6": ((15, 0, 2), 12),
+    "cycle-7": ((17, 0, 4), 14),
+    "cycle-8": ((19, 0, 4), 16),
+    "cycle-9": ((21, 0, 6), 18),
+    "cycle-10": ((23, 0, 6), 20),
+    "cycle-11": ((25, 0, 8), 22),
+    "cycle-12": ((27, 0, 8), 24),
+    "cycle-13": ((29, 0, 10), 26),
+    "cycle-14": ((31, 0, 10), 28),
+    "hidden-6": ((42, 0, 44), 4),
+    "hidden-7": ((34, 0, 227), 1),
+    "hidden-8": ((35, 0, 92), 4),
+}
+
+
+def test_bland_pivot_counts_are_pinned(monkeypatch):
+    """A change to the simplex's state or bookkeeping that keeps every
+    decision of Bland's rule keeps these counts, step by step."""
+    assert _pivot_counts(monkeypatch) == PIVOT_COUNTS
 
 
 def _assert_elimination_matches_scan(cs):
