@@ -67,7 +67,7 @@ def detect_bias(family: ContextFamily) -> BiasWitness | None:
     for i, j in itertools.combinations(range(len(family.contexts)), 2):
         ctx_i = family.contexts[i]
         ctx_j = family.contexts[j]
-        shared = tuple(  # a list: see SignedMeasure.__post_init__
+        shared = tuple(  # a list: see SignedMeasure.__init__
             [
                 v
                 for v in family.global_variables

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from numbers import Rational
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -122,28 +123,34 @@ def build_space(names: Sequence[str]) -> SampleSpace:
     return SampleSpace(names)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class Event:
     """A set of atoms of one sample space.
 
     ``cylinder`` is the ``(mask, want)`` that :func:`cylinder` built it
-    from (its atoms are those with ``atom & mask == want``), else None.
-    It is recorded, never derived, and ignored by ``==`` and ``hash``.
+    from (its atoms are those with ``atom & mask == want``), else None.  A
+    cylinder builds ``atoms`` only on first access.  Equality is set
+    equality: two cylinders compare by ``(mask, want)``.  The hash reads
+    the space, the size and the lowest and highest atom.
     """
 
     space: SampleSpace
-    atoms: frozenset[int]
-    cylinder: tuple[int, int] | None = field(
-        default=None, init=False, compare=False
-    )
+    cylinder: tuple[int, int] | None = None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "atoms", frozenset(self.atoms))
-        _check_atoms(self.space, self.atoms)
+    def __init__(self, space: SampleSpace, atoms: Iterable[int]) -> None:
+        atoms = frozenset(atoms)
+        _check_atoms(space, atoms)
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "atoms", atoms)  # shadows the property
+
+    @cached_property
+    def atoms(self) -> frozenset[int]:
+        mask, want = self.cylinder
+        return frozenset(_subsets((self.space.atom_count - 1) ^ mask, want))
 
     @classmethod
     def of(cls, space: SampleSpace, atoms: Iterable[int]) -> "Event":
-        return cls(space, frozenset(atoms))
+        return cls(space, atoms)
 
     @staticmethod
     def full(space: SampleSpace) -> "Event":
@@ -157,6 +164,22 @@ class Event:
         if self.space != other.space:
             raise SpaceMismatch("events live in different sample spaces")
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Event):
+            return NotImplemented
+        same = self.space == other.space
+        if self.cylinder and other.cylinder:
+            return same and self.cylinder == other.cylinder
+        return same and self.atoms == other.atoms
+
+    def __hash__(self) -> int:
+        if self.cylinder:
+            mask, want = self.cylinder
+            ends = want, want | (self.space.atom_count - 1) ^ mask
+        else:
+            ends = (min(self.atoms), max(self.atoms)) if self.atoms else ()
+        return hash((self.space, len(self), *ends))
+
     def __and__(self, other: "Event") -> "Event":
         self._check_same_space(other)
         return Event(self.space, self.atoms & other.atoms)
@@ -166,14 +189,17 @@ class Event:
         return Event(self.space, self.atoms | other.atoms)
 
     def __invert__(self) -> "Event":
-        return Event(
-            self.space, frozenset(self.space.atoms()) - self.atoms
-        )
+        return Event(self.space, frozenset(self.space.atoms()) - self.atoms)
 
     def __contains__(self, atom: int) -> bool:
+        if self.cylinder and type(atom) is int:
+            mask, want = self.cylinder
+            return 0 <= atom < self.space.atom_count and atom & mask == want
         return atom in self.atoms
 
     def __len__(self) -> int:
+        if self.cylinder:
+            return self.space.atom_count >> self.cylinder[0].bit_count()
         return len(self.atoms)
 
     def __iter__(self) -> Iterator[int]:
@@ -194,8 +220,7 @@ def _mask_want(
     The one sign check: a sign is the int +1 or -1; bools and floats are
     refused like any other value.
     """
-    mask = 0
-    want = 0
+    mask = want = 0
     for name, sign in partial.items():
         bit = 1 << space.position(name)
         if type(sign) is not int or sign not in (+1, -1):
@@ -214,13 +239,10 @@ def cylinder(space: SampleSpace, partial: Mapping[str, int]) -> Event:
     The empty assignment gives the full space; a full assignment gives a
     singleton.
     """
-    mask, want = _mask_want(space, partial)
-    free = (space.atom_count - 1) ^ mask
-    # every want | s is an atom of space, so Event's atom check is skipped
+    # atoms built on demand from the free bits lie in space: no atom check
     event = object.__new__(Event)
     object.__setattr__(event, "space", space)
-    object.__setattr__(event, "atoms", frozenset(_subsets(free, want)))
-    object.__setattr__(event, "cylinder", (mask, want))
+    object.__setattr__(event, "cylinder", _mask_want(space, partial))
     return event
 
 
@@ -247,42 +269,53 @@ def _check_atoms(space: SampleSpace, atoms: Iterable[object]) -> None:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SignedMeasure:
     """Exact rational mass per atom; masses may be negative.
 
+    ``support`` holds the nonzero masses as (atom, mass) pairs, ascending
+    by atom; ``mass``, all ``2**n`` masses, is built on first access.
     Additivity over disjoint events holds by construction because
     :func:`event_mass` sums atom masses.
     """
 
     space: SampleSpace
-    mass: tuple[Fraction, ...]
+    support: tuple[tuple[int, Fraction], ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, space: SampleSpace, mass: Iterable[object]) -> None:
+        dense = [as_fraction(m) for m in mass]
+        if len(dense) != space.atom_count:
+            raise ValueError(
+                f"expected {space.atom_count} masses, got {len(dense)}"
+            )
+        object.__setattr__(self, "space", space)
         # A list, not a generator: CPython grows a tuple from a generator
         # by resizing it, and each such tuple, once freed, stays on a
         # free list that only a full garbage collection empties.
         object.__setattr__(
-            self, "mass", tuple([as_fraction(m) for m in self.mass])
+            self, "support", tuple([(a, m) for a, m in enumerate(dense) if m])
         )
-        if len(self.mass) != self.space.atom_count:
-            raise ValueError(
-                f"expected {self.space.atom_count} masses, "
-                f"got {len(self.mass)}"
-            )
+
+    @cached_property
+    def mass(self) -> tuple[Fraction, ...]:
+        dense = [Fraction(0)] * self.space.atom_count
+        for atom, value in self.support:
+            dense[atom] = value
+        return tuple(dense)
 
     @classmethod
     def from_sparse(
         cls, space: SampleSpace, entries: Mapping[int, object]
     ) -> "SignedMeasure":
         _check_atoms(space, entries)
-        mass = [Fraction(0)] * space.atom_count
-        for atom, value in entries.items():
-            mass[atom] = as_fraction(value)
-        return cls(space, tuple(mass))
+        support = [(a, as_fraction(entries[a])) for a in sorted(entries)]
+        m = object.__new__(cls)
+        object.__setattr__(m, "space", space)
+        object.__setattr__(m, "support", tuple([p for p in support if p[1]]))
+        return m
 
     def total(self) -> Fraction:
-        return sum(self.mass, Fraction(0))
+        return sum((value for _, value in self.support), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -337,12 +370,12 @@ def event_mass(m: SignedMeasure, e: Event) -> Fraction:
     """Exact sum of atom masses over the event."""
     if e.space != m.space:
         raise SpaceMismatch("event and measure live in different spaces")
-    return sum((m.mass[a] for a in e.atoms), Fraction(0))
+    return sum((v for a, v in m.support if a in e), Fraction(0))
 
 
 def l1_norm(m: SignedMeasure) -> Fraction:
     """Sum of absolute atom masses."""
-    return sum((abs(x) for x in m.mass), Fraction(0))
+    return sum((abs(v) for _, v in m.support), Fraction(0))
 
 
 def jordan_decompose(m: SignedMeasure) -> tuple[SignedMeasure, SignedMeasure]:
@@ -351,9 +384,12 @@ def jordan_decompose(m: SignedMeasure) -> tuple[SignedMeasure, SignedMeasure]:
     The two totals add up to the L1 norm, which is minimal among all
     decompositions of m into a difference of nonnegative measures.
     """
-    pos = tuple(x if x > 0 else Fraction(0) for x in m.mass)
-    neg = tuple(-x if x < 0 else Fraction(0) for x in m.mass)
-    return SignedMeasure(m.space, pos), SignedMeasure(m.space, neg)
+    pos = {a: v for a, v in m.support if v > 0}
+    neg = {a: -v for a, v in m.support if v < 0}
+    return (
+        SignedMeasure.from_sparse(m.space, pos),
+        SignedMeasure.from_sparse(m.space, neg),
+    )
 
 
 def marginalize(m: SignedMeasure, variables: Iterable[str]) -> SignedMeasure:
@@ -371,12 +407,12 @@ def marginalize(m: SignedMeasure, variables: Iterable[str]) -> SignedMeasure:
         raise InvalidName("marginalize needs at least one variable")
     sub = build_space(kept)
     positions = [m.space.position(v) for v in kept]
-    mass = [Fraction(0)] * sub.atom_count
-    for atom, value in enumerate(m.mass):
+    mass: dict[int, Fraction] = {}
+    for atom, value in m.support:
         label = m.space.atom_label(atom)
         sub_atom = sub.atom_from_label("".join(label[p] for p in positions))
-        mass[sub_atom] += value
-    return SignedMeasure(sub, tuple(mass))
+        mass[sub_atom] = mass.get(sub_atom, 0) + value
+    return SignedMeasure.from_sparse(sub, mass)
 
 
 def signed_conditional(m: SignedMeasure, a: Event, b: Event) -> Fraction:
@@ -393,7 +429,8 @@ def signed_conditional(m: SignedMeasure, a: Event, b: Event) -> Fraction:
         raise UndefinedConditional(
             "conditioning event has mass zero; the conditional has no value"
         )
-    return event_mass(m, a & b) / denominator
+    both = (v for x, v in m.support if x in a and x in b)
+    return sum(both, Fraction(0)) / denominator
 
 
 def validate_kolmogorov(m: SignedMeasure) -> list[Violation]:
@@ -403,7 +440,7 @@ def validate_kolmogorov(m: SignedMeasure) -> list[Violation]:
     construction and is not re-checked.
     """
     violations: list[Violation] = []
-    for atom, value in enumerate(m.mass):
+    for atom, value in m.support:
         if not 0 <= value <= 1:
             violations.append(
                 Violation(
@@ -481,11 +518,11 @@ def nonmonotonicity_witness(
     atom to s1.  Returns None exactly when the measure is nonnegative, in
     which case it is monotone and no witness exists.
     """
-    negative = [a for a, v in enumerate(m.mass) if v < 0]
+    negative = [a for a, v in m.support if v < 0]
     if not negative:
         return None
     omega = negative[0]
-    s1_atoms = frozenset(a for a, v in enumerate(m.mass) if v > 0)
+    s1_atoms = frozenset(a for a, v in m.support if v > 0)
     s1 = Event(m.space, s1_atoms)
     s2 = Event(m.space, s1_atoms | {omega})
     return s1, s2

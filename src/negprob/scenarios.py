@@ -177,11 +177,7 @@ def mz_general_member(
     of (alpha, beta, gamma, delta, theta); substituting any rational
     values satisfies all thirteen rows exactly.
     """
-    a = as_fraction(alpha)
-    b = as_fraction(beta)
-    g = as_fraction(gamma)
-    d = as_fraction(delta)
-    t = as_fraction(theta)
+    a, b, g, d, t = map(as_fraction, (alpha, beta, gamma, delta, theta))
     # atom labels ordered (Da, Db, D1, D2)
     table: dict[str, Fraction] = {
         "++++": a,
@@ -293,12 +289,8 @@ class WaveConfig:
             raise ValueOutOfBounds(
                 f"amplitude must be positive, got {self.amplitude}"
             )
-        for label, angle in (
-            ("phi1", self.phi1),
-            ("phi2", self.phi2),
-            ("detuning", self.detuning),
-        ):
-            if not math.isfinite(float(angle)):
+        for label in ("phi1", "phi2", "detuning"):
+            if not math.isfinite(float(getattr(self, label))):
                 raise ValueOutOfBounds(f"{label} must be finite")
 
 

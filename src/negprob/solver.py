@@ -45,7 +45,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import compress
 from math import lcm
-from operator import add
+from operator import add, itemgetter
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -101,8 +101,7 @@ class ConstraintSystem:
         """True when some row pins the full space to total mass 1."""
         full = self.space.atom_count
         return any(
-            value == 1 and len(event.atoms) == full
-            for event, value in self.rows
+            value == 1 and len(event) == full for event, value in self.rows
         )
 
 
@@ -186,11 +185,12 @@ class _Elimination:
     variables in index order leaves, after variable k, a table of the max
     over the variables up to k of the pieces in buckets up to k, keyed on
     the assignments of U_k: the later variables that those pieces also
-    hold.  The search then fixes bits from the highest down.  With bits
-    j and up fixed, the best price is the pieces in buckets j and up, which
-    those bits decide, plus one lookup in the table of U_(j-1); bit j
-    stays 0 while that still exceeds the cost.  So it returns the atom a
-    scan in index order returns.  w < -cost is w > cost on -y.
+    hold.  The search then fixes bits from the highest down.  With the
+    bits above j fixed, the best price with bit j at b is the pieces in
+    buckets above j, which those bits decide, plus the sum the forward
+    pass kept for that span before its max over bit j; bit j stays 0
+    while that still exceeds the cost.  So it returns the atom a scan in
+    index order returns.  w < -cost is w > cost on -y.
     """
 
     def __init__(
@@ -211,11 +211,11 @@ class _Elimination:
         self.plan: list[tuple] = []
 
     def _build_plan(self) -> None:
-        """Per variable k: the index of each assignment of U_(k-1) in the
-        table before k; for each assignment s of U_k and bit k, paired on
-        bit k, the index of s & U_(k-1); and the rows of the pieces of
-        bucket k that each s meets, as layers of row indices padded with
-        -1, which reads the 0 that lowest appends to y."""
+        """Per variable k: for each assignment s of U_k and bit k, paired on
+        bit k, the index of s & U_(k-1) in the table before k; the rows of
+        the pieces of bucket k that each s meets, as layers of row indices
+        padded with -1, which reads the 0 that lowest appends to y; and the
+        index of each assignment of U_k in the table after k."""
         index = {0: 0}
         for k, bucket in enumerate(self.bucket):
             keys = sorted(_subsets(self.later[k + 1]))
@@ -226,35 +226,35 @@ class _Elimination:
                 for i in range(max(map(len, met)))
             ]
             prev = [index[s & self.later[k]] for s in spans]
-            self.plan.append((index, prev, layers))
             index = {key: i for i, key in enumerate(keys)}
+            self.plan.append((prev, layers, index))
 
     def lowest(self, y: list[int], cost: int) -> int:
         """Lowest atom a with w(a) > cost, or -1; y has one entry per row."""
         if not self.plan:
             self._build_plan()
         get = (y + [0]).__getitem__
-        tables, top = [[0]], [0]  # tables[k]: the table before variable k
-        for _, prev, layers in self.plan:
+        # tables[k]: the table before variable k; sums[k]: its entries
+        # plus bucket k's pieces, per span, before the max over bit k
+        tables, sums, top = [], [], [0]
+        for prev, layers, _ in self.plan:
             it = map(top.__getitem__, prev)
             for layer in layers:
                 it = map(add, it, map(get, layer))
-            # one iterator twice: max pairs bit k's two halves
-            top = list(map(max, it, it))
             tables.append(top)
+            sums.append(list(it))
+            it = iter(sums[-1])  # one iterator twice: max pairs the halves
+            top = list(map(max, it, it))
         if top[0] <= cost:
             return -1
-        atom = base = 0
+        atom = base = 0  # base: the pieces in the buckets above j
         for j in range(len(self.bucket) - 1, -1, -1):
-            index = self.plan[j][0]
-            rest = tables[j][index[atom & self.later[j]]]
-            bucket = self.bucket[j]
-            zero = sum([y[r] for r, m, w in bucket if atom & m == w])
-            if base + zero + rest > cost:
-                base += zero
-            else:
+            prev, _, index = self.plan[j]
+            i = 2 * index[atom & self.later[j + 1]]
+            if base + sums[j][i] <= cost:
                 atom |= 1 << j
-                base += sum([y[r] for r, m, w in bucket if atom & m == w])
+                i += 1
+            base += sums[j][i] - tables[j][prev[i]]
         return atom
 
 
@@ -276,13 +276,11 @@ class _RevisedLP:
     column ncols + r, flip_r * e_r with flip_r = -1 on a negative value:
     flipping the row instead gives the same tableau B^-1 A.
 
-    Every row is read once, by _pieces, into pieces (r, mask, want): the
-    disjoint cylinders of row r.  Pricing finds the lowest atom whose price
-    passes a test, on one of two paths that return the same atom: a scan
-    over all atoms, reading each atom's rows from rows_of, or the search of
-    _Elimination over the pieces, taken when the scan's (atom, row) count
-    exceeds SCAN_PER_TABLE times its table count.  probes, built on first
-    use, lists first_real's atoms with their rows.
+    pieces lists each row r's disjoint cylinders (r, mask, want), read by
+    _pieces.  Pricing scans gathers, one itemgetter of its rows per atom,
+    or searches elim, an _Elimination over the pieces, when the scan's
+    (atom, row) count exceeds SCAN_PER_TABLE times its table count.
+    probes, built on first use, pairs first_real's atoms with theirs.
     """
 
     def __init__(self, cs: ConstraintSystem, split: bool) -> None:
@@ -304,38 +302,39 @@ class _RevisedLP:
             elim = _Elimination(self.pieces, nvars)
             if scan > SCAN_PER_TABLE * elim.table_count:
                 self.elim = elim
-        self.probes: list[tuple[int, list[int]]] | None = None
-        self.rows_of: list[list[int]] = []
+        self.probes: list[tuple[int, itemgetter]] | None = None
         if self.elim is None:
-            self.rows_of = [[] for _ in range(self.n)]
+            rows_of: list[list[int]] = [[] for _ in range(self.n)]
             for r, mask, want in self.pieces:
                 for atom in _subsets((self.n - 1) ^ mask, want):
-                    self.rows_of[atom].append(r)
+                    rows_of[atom].append(r)
+            self.gathers = list(map(_gather, rows_of))
         self.flip = [-1 if value < 0 else 1 for _, value in cs.rows]
-        # a list, not a generator: see SignedMeasure.__post_init__
+        # a list, not a generator: see SignedMeasure.__init__
         self.scale_b = lcm(*[value.denominator for _, value in cs.rows])
         self.det = 1
+        m = len(self.flip)
         self.adj = [
-            [f if k == r else 0 for k in range(len(self.flip))]
-            + [abs(b.numerator) * (self.scale_b // b.denominator)]
-            for r, (f, (_, b)) in enumerate(zip(self.flip, cs.rows))
+            [0] * m + [abs(b.numerator) * (self.scale_b // b.denominator)]
+            for _, b in cs.rows
         ]
-        self.basis = [self.ncols + r for r in range(len(self.flip))]
+        for r, f in enumerate(self.flip):
+            self.adj[r][r] = f
+        self.basis = [self.ncols + r for r in range(m)]
 
     def column(self, j: int) -> list[int]:
         """Tableau column j times det: adj times column j of [A | flips]."""
         if j >= self.ncols:
             r = j - self.ncols
             return [self.flip[r] * row[r] for row in self.adj]
-        rows = self.rows_at(j % self.n)
-        col = [sum(map(row.__getitem__, rows)) for row in self.adj]
+        col = list(map(sum, map(self.gather_at(j % self.n), self.adj)))
         return col if j < self.n else [-x for x in col]
 
-    def rows_at(self, atom: int) -> list[int]:
-        """The rows whose event holds the atom."""
+    def gather_at(self, atom: int) -> itemgetter:
+        """The _gather of the rows whose event holds the atom."""
         if self.elim is None:
-            return self.rows_of[atom]
-        return [r for r, m, w in self.pieces if atom & m == w]
+            return self.gathers[atom]
+        return _gather([r for r, m, w in self.pieces if atom & m == w])
 
     def entering(self, phase1: bool, big_y: list[int]) -> int:
         """First column in Bland order with negative reduced cost, or -1.
@@ -360,8 +359,8 @@ class _RevisedLP:
                     return self.n + atom
         else:
             first_minus = -1
-            for atom, rows in enumerate(self.rows_of):
-                w = sum(map(big_y.__getitem__, rows))
+            for atom, get in enumerate(self.gathers):
+                w = sum(get(big_y))
                 if w > cost:
                     return atom
                 if w < -cost and first_minus < 0:
@@ -390,10 +389,10 @@ class _RevisedLP:
         if self.probes is None:
             masks = {mask for _, mask, _ in self.pieces}
             atoms = sorted({a for m in masks for a in _subsets(m)})
-            self.probes = [(atom, self.rows_at(atom)) for atom in atoms]
+            self.probes = [(a, self.gather_at(a)) for a in atoms]
         row = self.adj[i]
-        for atom, rows in self.probes:
-            if sum(map(row.__getitem__, rows)):
+        for atom, get in self.probes:
+            if sum(get(row)):
                 return atom
         return -1
 
@@ -409,6 +408,14 @@ class _RevisedLP:
         _bareiss([(self.adj[i], col[i]) for i in moved], prow, q, det)
         self.det = q
         self.basis[row] = j
+
+
+def _gather(rows: list[int]) -> itemgetter:
+    """One itemgetter for the entries at rows, giving a sequence to sum:
+    with one index it would give the bare entry, so fewer rows slice."""
+    if len(rows) > 1:
+        return itemgetter(*rows)
+    return itemgetter(slice(rows[0], rows[0] + 1) if rows else slice(0))
 
 
 def _bareiss(targets: list[tuple], prow: list[int], q: int, det: int) -> None:

@@ -1,11 +1,18 @@
 """Command-line interface: exit codes, rendering, and scenario files."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
-from negprob import family_mstar, tsirelson_box
-from negprob.cli import family_to_scenario, run, scenario_from_data
+from negprob import ScenarioFormatError, family_mstar, tsirelson_box
+from negprob.cli import (
+    RATIONAL_MAX_CHARS,
+    family_to_scenario,
+    parse_rational,
+    run,
+    scenario_from_data,
+)
 from helpers import mz_family
 
 COUNTERFACTUAL_ROWS = [
@@ -466,6 +473,23 @@ def test_overlong_literals_are_input_errors(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("input error:")
     assert run(["builtin", "mz-detuned", "--param", digits]) == 1
     assert capsys.readouterr().err.startswith("input error:")
+
+
+def test_rational_literals_are_bounded_in_characters():
+    """A literal over RATIONAL_MAX_CHARS is refused by its length alone,
+    before its digits are read; one at the bound still parses."""
+    digits = "7" * 5000
+    for text in (f"{digits}/3", f"3/{digits}", f"  {digits}  "):
+        length = len(text.strip())
+        with pytest.raises(ScenarioFormatError, match=f"of {length} char"):
+            parse_rational(text)
+    at_bound = "1/" + "9" * (RATIONAL_MAX_CHARS - 2)
+    assert parse_rational(at_bound) == Fraction(1, 10 ** 98 - 1)
+    with pytest.raises(ScenarioFormatError, match="longer than the limit"):
+        parse_rational(at_bound + "9")
+    for bad in (None, 3, "1.5", ""):
+        with pytest.raises(ScenarioFormatError, match="rational string"):
+            parse_rational(bad)
 
 
 def test_float_signs_are_rejected(tmp_path, capsys):

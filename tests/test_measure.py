@@ -1,6 +1,7 @@
 """Sample spaces, events, and signed measure operations."""
 
 import itertools
+import random
 import re
 from enum import IntEnum
 from fractions import Fraction
@@ -28,6 +29,7 @@ from negprob import (
     jordan_decompose,
     l1_norm,
     marginalize,
+    minimize_l1,
     mz_family_member,
     nonmonotonicity_witness,
     signed_conditional,
@@ -36,6 +38,8 @@ from negprob import (
     verify_member,
 )
 from negprob.measure import as_fraction
+
+from helpers import random_small_system
 
 MZ = build_space(("Da", "Db", "D1", "D2"))
 
@@ -177,6 +181,98 @@ def test_event_algebra():
     assert ~a == cylinder(MZ, {"D1": -1})
     assert (a | ~a) == Event.full(MZ)
     assert (a & ~a) == Event.empty(MZ)
+
+
+# -- one value, two forms: a cylinder's (mask, want) and an atom set ---------
+
+
+def test_cylinder_and_atom_set_are_one_value():
+    """A cylinder keeps no atoms until asked; it equals and hashes like
+    the same atoms built plainly, so either finds the other in a set or
+    a dict, and len and membership agree without building its atoms."""
+    everywhere = dict.fromkeys(MZ.variables, 1)
+    for partial in ({}, {"D1": 1}, {"Da": -1, "D2": 1}, everywhere):
+        built = cylinder(MZ, partial)
+        size, members = len(built), [a in built for a in range(-1, 17)]
+        assert "atoms" not in vars(built)
+        plain = Event.of(MZ, built.atoms)
+        assert built == plain and plain == built
+        assert hash(built) == hash(plain)
+        assert size == len(plain)
+        assert members == [a in plain for a in range(-1, 17)]
+        odd = (None, "0", 0.0, True, 16.0)
+        assert [x in built for x in odd] == [x in plain for x in odd]
+        assert plain in {built} and built in {plain}
+        assert {built: "value"}[plain] == "value"
+        fresh = cylinder(MZ, partial)  # no atoms built on either side
+        assert fresh == built and hash(fresh) == hash(cylinder(MZ, partial))
+        assert "atoms" not in vars(fresh)
+    assert cylinder(MZ, {"D1": 1}) != cylinder(MZ, {"D1": -1})
+    assert cylinder(MZ, {"D1": 1}) != Event.of(MZ, [4])
+    assert cylinder(MZ, {}) != Event.full(build_space(["X"]))
+
+
+def test_event_algebra_is_the_same_on_both_forms():
+    pairs = [
+        ({"D1": 1}, {"D2": -1}),
+        ({"Da": 1, "Db": 1}, {}),
+        ({}, {"D1": 1}),
+    ]
+    for left, right in pairs:
+        a, b = cylinder(MZ, left), cylinder(MZ, right)
+        plain_a, plain_b = Event.of(MZ, a.atoms), Event.of(MZ, b.atoms)
+        for x, y in ((a, b), (plain_a, plain_b), (a, plain_b), (plain_a, b)):
+            assert x & y == plain_a & plain_b
+            assert x | y == plain_a | plain_b
+            assert ~x == ~plain_a
+            assert (x & y).atoms == a.atoms & b.atoms
+            assert (x | y).atoms == a.atoms | b.atoms
+            assert (~x).atoms == frozenset(range(16)) - a.atoms
+
+
+def test_sparse_and_dense_measures_are_one_value():
+    """from_sparse drops explicit zeros: it equals and hashes like the
+    dense constructor, stores only the nonzero masses, and rebuilds the
+    dense tuple on demand."""
+    masses = [0] * 16
+    masses[3], masses[15] = Fraction(-1, 2), Fraction(3, 2)
+    dense = SignedMeasure(MZ, masses)
+    sparse = SignedMeasure.from_sparse(
+        MZ, {15: "3/2", 0: 0, 3: Fraction(-1, 2), 7: Fraction(0)}
+    )
+    assert sparse == dense and hash(sparse) == hash(dense)
+    support = ((3, Fraction(-1, 2)), (15, Fraction(3, 2)))
+    assert sparse.support == dense.support == support
+    assert sparse.mass == dense.mass and len(sparse.mass) == 16
+    assert {dense: 1}[sparse] == 1
+    assert SignedMeasure.from_sparse(MZ, {}) == SignedMeasure(MZ, [0] * 16)
+    assert sparse != SignedMeasure.from_sparse(MZ, {15: Fraction(3, 2)})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32))
+def test_both_forms_agree_on_random_systems(seed):
+    """Every row of a random system equals its atom set, and the solve
+    witness equals its dense copy; event_mass, membership and the row
+    values agree on both forms."""
+    cs = random_small_system(random.Random(seed), 4, 6)
+    result = minimize_l1(cs)
+    for event, value in cs.rows:
+        plain = Event.of(cs.space, event.atoms)
+        assert event == plain and hash(event) == hash(plain)
+        assert len(event) == len(plain)
+        assert [a in event for a in cs.space.atoms()] == [
+            a in plain for a in cs.space.atoms()
+        ]
+        if result.witness is not None:
+            assert event_mass(result.witness, event) == value
+            assert event_mass(result.witness, plain) == value
+    if result.witness is not None:
+        w = result.witness
+        copy = SignedMeasure(cs.space, w.mass)
+        assert copy == w and hash(copy) == hash(w) and copy.mass == w.mass
+        assert all(m != 0 for _, m in w.support)
+        assert l1_norm(copy) == l1_norm(w) == result.mstar
 
 
 @pytest.mark.parametrize(

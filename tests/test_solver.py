@@ -3,6 +3,7 @@
 import itertools
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from operator import mul
 
@@ -907,3 +908,55 @@ def test_builtin_systems_solve_quickly():
         start = time.perf_counter()
         minimize_l1(cs)
         assert time.perf_counter() - start < 1.0
+
+
+def _solve_without_dense_forms(family, monkeypatch):
+    """family_system, minimize_l1 and feasible_proper on the family, with
+    every row's atom set and every dense mass tuple forbidden: reading
+    Event.atoms or SignedMeasure.mass, or building a measure from a dense
+    tuple, fails the test."""
+
+    def forbidden(*args):
+        raise AssertionError("a dense form was built on the solve path")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Event, "atoms", property(forbidden))
+        patch.setattr(SignedMeasure, "mass", property(forbidden))
+        patch.setattr(SignedMeasure, "__init__", forbidden)
+        cs = family_system(family)
+        result = minimize_l1(cs)
+        proper = feasible_proper(cs)
+        assert verify_member(cs, result.witness, result.mstar)
+    assert all("atoms" not in vars(event) for event, _ in cs.rows)
+    return cs, result, proper
+
+
+def test_ncycle_rung_builds_no_atom_set_and_no_dense_mass(monkeypatch):
+    """An n=10 rung of the n-cycle ladder, on the elimination path: its
+    rows stay cylinders and its witness stays sparse from end to end."""
+    cs, result, proper = _solve_without_dense_forms(ncycle(10), monkeypatch)
+    assert _RevisedLP(cs, split=True).elim is not None
+    assert proper is None and result.mstar == Fraction(5, 4)
+    assert len(result.witness.support) <= result.rank == 21
+
+
+def test_twenty_variable_ring_solves_in_kilobytes(monkeypatch):
+    """The 20-cycle has 2^20 atoms.  No row's atom set is built, the
+    witness holds at most rank-many atoms, and the three calls take well
+    under a second and peak under 1,024 kB of traced allocations (about
+    120 kB on CPython 3.11).  Its M* is not asserted here: the n-cycle law
+    has no certificate yet."""
+    family = ncycle(20)
+    start = time.perf_counter()
+    cs, result, proper = _solve_without_dense_forms(family, monkeypatch)
+    assert time.perf_counter() - start < 1.0
+    assert proper is None and result.status is SolveStatus.SIGNED_FEASIBLE_ONLY
+    assert 0 < len(result.witness.support) <= result.rank
+    tracemalloc.start()
+    try:
+        minimize_l1(family_system(family))
+        feasible_proper(family_system(family))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024
