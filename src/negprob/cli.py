@@ -35,12 +35,7 @@ import sys
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .contextuality import (
-    BiasWitness,
-    ContextFamily,
-    detect_bias,
-    family_system,
-)
+from .contextuality import BiasWitness, ContextFamily, detect_bias
 from .errors import (
     InvalidAssignment,
     NegprobError,
@@ -55,7 +50,6 @@ from .scenarios import (
     builtin_spec,
 )
 from .solver import (
-    ConstraintSystem,
     SolveResult,
     SolveStatus,
     assemble,
@@ -63,7 +57,7 @@ from .solver import (
     minimize_l1,
 )
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/([1-9]\d*))?")
 # Longer literals are refused before any digit is read; the goldens, the
 # built-ins and the benchmark's generated files use at most 9 characters.
 RATIONAL_MAX_CHARS = 100
@@ -76,11 +70,13 @@ def parse_rational(text: object) -> Fraction:
             f"rational literal of {len(literal)} characters is longer "
             f"than the limit of {RATIONAL_MAX_CHARS}"
         )
-    if not _RATIONAL_RE.match(literal):
+    match = _RATIONAL_RE.fullmatch(literal)
+    if match is None:
         raise ScenarioFormatError(
             f"expected a rational string like \"1/2\" or \"-3\", got {text!r}"
         )
-    return Fraction(literal)
+    num, den = match.groups()
+    return Fraction(int(num), int(den or 1))
 
 
 def _names(value: object, what: str) -> list[str]:
@@ -164,7 +160,7 @@ def scenario_from_data(data: object, label: str) -> ScenarioBundle:
     }
     bundle = builtin_bundle(entry["name"], params)
     if variables is not None:
-        expected = list(_bundle_system(bundle).space.variables)
+        expected = list(bundle.system.space.variables)
         if variables != expected:
             raise ScenarioFormatError(
                 f"builtin {entry['name']!r} has \"variables\" {expected}, "
@@ -287,17 +283,11 @@ def _render(report: dict, fmt: str) -> str:
 # --- subcommand handlers ----------------------------------------------------
 
 
-def _bundle_system(bundle: ScenarioBundle) -> ConstraintSystem:
-    if bundle.kind == "constraints":
-        return bundle.payload  # type: ignore[return-value]
-    return family_system(bundle.payload)  # type: ignore[arg-type]
-
-
 def _solve_report(
     command: str, bundle: ScenarioBundle
 ) -> tuple[dict, SolveResult]:
     """Solve the bundle; a report with status, M*, rank and nullity."""
-    system = _bundle_system(bundle)
+    system = bundle.system
     result = minimize_l1(system)
     report = _empty_report(command, bundle.label, system.space.variables)
     report["status"] = result.status.value
@@ -316,7 +306,7 @@ def _cmd_solve(bundle: ScenarioBundle) -> tuple[dict, int]:
 
 
 def _cmd_viable(bundle: ScenarioBundle) -> tuple[dict, int]:
-    system = _bundle_system(bundle)
+    system = bundle.system
     witness = feasible_proper(system)
     report = _empty_report("viable", bundle.label, system.space.variables)
     report["viable"] = witness is not None
@@ -488,7 +478,8 @@ def _load_bundle(path: str) -> ScenarioBundle:
         ) from exc
     except ScenarioFormatError:  # a repeated key, already worded
         raise
-    except ValueError as exc:  # bytes that are not UTF-8, overlong integers
+    # bytes that are not UTF-8, overlong integers, nesting past the stack
+    except (ValueError, RecursionError) as exc:
         raise ScenarioFormatError(f"cannot read {path}: {exc}") from exc
     return scenario_from_data(data, label=None)
 

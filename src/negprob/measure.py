@@ -405,14 +405,12 @@ def marginalize(m: SignedMeasure, variables: Iterable[str]) -> SignedMeasure:
     kept = tuple(v for v in m.space.variables if v in requested)
     if not kept:
         raise InvalidName("marginalize needs at least one variable")
-    sub = build_space(kept)
     positions = [m.space.position(v) for v in kept]
     mass: dict[int, Fraction] = {}
-    for atom, value in m.support:
-        label = m.space.atom_label(atom)
-        sub_atom = sub.atom_from_label("".join(label[p] for p in positions))
+    for atom, value in m.support:  # gather the kept bits, in order
+        sub_atom = sum((atom >> p & 1) << j for j, p in enumerate(positions))
         mass[sub_atom] = mass.get(sub_atom, 0) + value
-    return SignedMeasure.from_sparse(sub, mass)
+    return SignedMeasure.from_sparse(build_space(kept), mass)
 
 
 def signed_conditional(m: SignedMeasure, a: Event, b: Event) -> Fraction:

@@ -26,9 +26,10 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Mapping, NamedTuple
 
-from .contextuality import ContextFamily
+from .contextuality import ContextFamily, family_system
 from .errors import (
     AlphaOutOfRange,
     CorrelationOutOfRange,
@@ -343,6 +344,7 @@ class ScenarioBundle:
 
     kind is "contexts" when payload is a ContextFamily and "constraints"
     when payload is a ConstraintSystem; any other payload is refused.
+    system is the rows every command solves, built at most once.
     """
 
     payload: ContextFamily | ConstraintSystem
@@ -360,6 +362,12 @@ class ScenarioBundle:
         if isinstance(self.payload, ContextFamily):
             return "contexts"
         return "constraints"
+
+    @cached_property
+    def system(self) -> ConstraintSystem:
+        if isinstance(self.payload, ContextFamily):
+            return family_system(self.payload)
+        return self.payload
 
 
 # --- built-in registry -------------------------------------------------------

@@ -4,7 +4,10 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import negprob.contextuality
 from negprob import ScenarioFormatError, family_mstar, tsirelson_box
 from negprob.cli import (
     RATIONAL_MAX_CHARS,
@@ -363,6 +366,21 @@ def test_builtin_document_may_leave_out_variables(tmp_path, capsys):
     assert report["mstar"] == "7/4"
 
 
+def test_builtin_document_assembles_its_rows_once(tmp_path, monkeypatch):
+    """The "variables" check and the solve read one system."""
+    calls = []
+    assemble = negprob.contextuality.assemble
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(negprob.contextuality, "assemble", counted)
+    doc = {"builtin": {"name": "pr-box"}, "variables": ["A", "A2", "B", "B2"]}
+    assert run(["solve", write_json(tmp_path, "builtin.json", doc)]) == 0
+    assert len(calls) == 1
+
+
 def test_builtin_document_variables_must_match(tmp_path, capsys):
     doc = {"variables": ["Q"], "builtin": {"name": "pr-box"}}
     assert run(["solve", write_json(tmp_path, "builtin.json", doc)]) == 1
@@ -455,6 +473,17 @@ def test_non_utf8_file_is_an_input_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("input error: cannot read")
 
 
+def test_deeply_nested_file_is_an_input_error(tmp_path, capsys):
+    """Nesting past the recursion limit is worded, not a traceback."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000, encoding="utf-8")
+    assert run(["solve", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("input error:")
+    assert "Traceback" not in err
+
+
 def test_overlong_literals_are_input_errors(tmp_path, capsys):
     digits = "1" * 5000
     doc = {
@@ -487,9 +516,26 @@ def test_rational_literals_are_bounded_in_characters():
     assert parse_rational(at_bound) == Fraction(1, 10 ** 98 - 1)
     with pytest.raises(ScenarioFormatError, match="longer than the limit"):
         parse_rational(at_bound + "9")
-    for bad in (None, 3, "1.5", ""):
+    # the last seven are forms Fraction accepts or nearly accepts
+    for bad in (None, 3, "1.5", "", "1e3", "1_000", "0x1f", "1 /2", "1/0",
+                "1/-2", "--1"):
         with pytest.raises(ScenarioFormatError, match="rational string"):
             parse_rational(bad)
+
+
+@given(
+    st.integers(-10**6, 10**6),
+    st.integers(1, 10**6),
+    st.sampled_from(["", "+"]),
+    st.integers(0, 3),
+    st.text(" \t\n", max_size=3),
+    st.text(" \t\n", max_size=3),
+)
+def test_rational_literal_parses_to_its_fraction(n, d, plus, zeros, lead, tail):
+    """Sign, leading zeros and surrounding spaces do not change the value."""
+    sign = "-" if n < 0 else plus
+    literal = f"{lead}{sign}{'0' * zeros}{abs(n)}/{d}{tail}"
+    assert parse_rational(literal) == Fraction(n, d)
 
 
 def test_float_signs_are_rejected(tmp_path, capsys):

@@ -522,6 +522,34 @@ def test_marginalize_preserves_total(m):
     assert marginalize(m, ("X", "Z")).total() == m.total()
 
 
+@st.composite
+def sparse_measures_and_subsets(draw):
+    n = draw(st.integers(1, 5))
+    space = build_space([f"V{i}" for i in range(n)])
+    atoms = st.integers(0, space.atom_count - 1)
+    entries = draw(st.dictionaries(atoms, small_fractions, max_size=8))
+    kept = draw(st.sets(st.sampled_from(space.variables), min_size=1))
+    return SignedMeasure.from_sparse(space, entries), kept
+
+
+@given(sparse_measures_and_subsets())
+def test_marginalize_matches_label_sums(case):
+    """Each sub-atom's mass is the sum over the atoms whose label,
+    read at the kept positions, spells the sub-atom's label."""
+    m, kept = case
+    positions = [i for i, v in enumerate(m.space.variables) if v in kept]
+    expected: dict[str, Fraction] = {}
+    for atom, value in m.support:
+        label = m.space.atom_label(atom)
+        key = "".join(label[p] for p in positions)
+        expected[key] = expected.get(key, Fraction(0)) + value
+    out = marginalize(m, kept)
+    assert out.space.variables == tuple(m.space.variables[p] for p in positions)
+    assert list(out.mass) == [
+        expected.get(out.space.atom_label(a), 0) for a in out.space.atoms()
+    ]
+
+
 @given(measures(), st.integers(0, 7), st.integers(0, 7))
 def test_conditional_consistency(m, i, j):
     a = Event(m.space, frozenset({i}))
