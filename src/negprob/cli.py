@@ -352,15 +352,14 @@ def _cmd_condition(args: argparse.Namespace) -> tuple[dict, int]:
     bundle = _load_bundle(args.file)
     target = _parse_assignment_flag(args.target, "--target")
     given = _parse_assignment_flag(args.given, "--given")
+    space = bundle.system.space  # an unknown name is refused before a solve
+    events = cylinder(space, target), cylinder(space, given)
     report, result = _solve_report("condition", bundle)
     if result.witness is None:
         return report, 2
-    space = result.witness.space
     entry: dict = {"target": target, "given": given}
     try:
-        value = signed_conditional(
-            result.witness, cylinder(space, target), cylinder(space, given)
-        )
+        value = signed_conditional(result.witness, *events)
         entry["defined"] = True
         entry["value"] = str(value)
         entry["proper_range"] = 0 <= value <= 1

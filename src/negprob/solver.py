@@ -99,9 +99,11 @@ class ConstraintSystem:
     @property
     def includes_normalization(self) -> bool:
         """True when some row pins the full space to total mass 1."""
-        full = self.space.atom_count
+        full = self.space.atom_count  # no len of a cylinder: it can overflow
         return any(
-            value == 1 and len(event) == full for event, value in self.rows
+            value == 1
+            and (e.cylinder == (0, 0) if e.cylinder else len(e) == full)
+            for e, value in self.rows
         )
 
 
@@ -210,13 +212,13 @@ class _Elimination:
         self.table_count = sum(2 << u.bit_count() for u in self.later[1:])
         self.plan: list[tuple] = []
 
-    def _build_plan(self) -> None:
+    def _build_plan(self) -> list[tuple]:
         """Per variable k: for each assignment s of U_k and bit k, paired on
         bit k, the index of s & U_(k-1) in the table before k; the rows of
         the pieces of bucket k that each s meets, as layers of row indices
         padded with -1, which reads the 0 that lowest appends to y; and the
         index of each assignment of U_k in the table after k."""
-        index = {0: 0}
+        plan, index = [], {0: 0}
         for k, bucket in enumerate(self.bucket):
             keys = sorted(_subsets(self.later[k + 1]))
             spans = [key | bit for key in keys for bit in (0, 1 << k)]
@@ -227,17 +229,18 @@ class _Elimination:
             ]
             prev = [index[s & self.later[k]] for s in spans]
             index = {key: i for i, key in enumerate(keys)}
-            self.plan.append((prev, layers, index))
+            plan.append((prev, layers, index))
+        self.plan = plan
+        return plan
 
     def lowest(self, y: list[int], cost: int) -> int:
         """Lowest atom a with w(a) > cost, or -1; y has one entry per row."""
-        if not self.plan:
-            self._build_plan()
+        plan = self.plan or self._build_plan()
         get = (y + [0]).__getitem__
         # tables[k]: the table before variable k; sums[k]: its entries
         # plus bucket k's pieces, per span, before the max over bit k
         tables, sums, top = [], [], [0]
-        for prev, layers, _ in self.plan:
+        for prev, layers, _ in plan:
             it = map(top.__getitem__, prev)
             for layer in layers:
                 it = map(add, it, map(get, layer))
@@ -249,7 +252,7 @@ class _Elimination:
             return -1
         atom = base = 0  # base: the pieces in the buckets above j
         for j in range(len(self.bucket) - 1, -1, -1):
-            prev, _, index = self.plan[j]
+            prev, _, index = plan[j]
             i = 2 * index[atom & self.later[j + 1]]
             if base + sums[j][i] <= cost:
                 atom |= 1 << j
@@ -267,25 +270,17 @@ def _pieces(event: Event) -> list[tuple[int, int]]:
     return [(full, atom) for atom in sorted(event.atoms)]
 
 
-class _RevisedLP:
-    """Integer rows adj = det B^-1 [I | b scale_b], det > 0, and basis for
-    A x = b, x >= 0; scale_b is the lcm of the row values' denominators.
-    Row i is basis[i]'s adjugate row, then x_i det scale_b.  Real column j
-    is atom j mod N, negated for j >= N (the split's minus half), with a 1
-    on each row whose event holds the atom.  The artificial of row r is
-    column ncols + r, flip_r * e_r with flip_r = -1 on a negative value:
-    flipping the row instead gives the same tableau B^-1 A.
+class _Columns:
+    """What every LP on one system reads off its rows alone.  pieces lists
+    each row r's disjoint cylinders (r, mask, want), read by _pieces.
+    Pricing scans gathers, one itemgetter of its rows per atom, or searches
+    elim, an _Elimination over the pieces, when the scan's (atom, row)
+    count exceeds SCAN_PER_TABLE times its table count; gathers then
+    caches column's atoms.  probes pairs first_real's atoms with theirs.
+    A part built on first use is stored whole, never grown in place."""
 
-    pieces lists each row r's disjoint cylinders (r, mask, want), read by
-    _pieces.  Pricing scans gathers, one itemgetter of its rows per atom,
-    or searches elim, an _Elimination over the pieces, when the scan's
-    (atom, row) count exceeds SCAN_PER_TABLE times its table count.
-    probes, built on first use, pairs first_real's atoms with theirs.
-    """
-
-    def __init__(self, cs: ConstraintSystem, split: bool) -> None:
+    def __init__(self, cs: ConstraintSystem) -> None:
         self.n = cs.space.atom_count
-        self.ncols = 2 * self.n if split else self.n
         nvars = len(cs.space.variables)
         self.pieces = [
             (r, *piece)
@@ -303,12 +298,44 @@ class _RevisedLP:
             if scan > SCAN_PER_TABLE * elim.table_count:
                 self.elim = elim
         self.probes: list[tuple[int, itemgetter]] | None = None
+        self.gathers: dict[int, itemgetter] = {}
         if self.elim is None:
             rows_of: list[list[int]] = [[] for _ in range(self.n)]
             for r, mask, want in self.pieces:
                 for atom in _subsets((self.n - 1) ^ mask, want):
                     rows_of[atom].append(r)
-            self.gathers = list(map(_gather, rows_of))
+            self.gathers = dict(enumerate(map(_gather, rows_of)))
+
+    def gather_at(self, atom: int) -> itemgetter:
+        """The _gather of the rows whose event holds the atom."""
+        get = self.gathers.get(atom)
+        if get is None:  # on elim's path, where gathers starts empty
+            get = _gather([r for r, m, w in self.pieces if atom & m == w])
+            self.gathers = {**self.gathers, atom: get}
+        return get
+
+
+class _RevisedLP:
+    """Integer rows adj = det B^-1 [I | b scale_b], det > 0, and basis for
+    A x = b, x >= 0; scale_b is the lcm of the row values' denominators.
+    Row i is basis[i]'s adjugate row, then x_i det scale_b.  Real column j
+    is atom j mod N, negated for j >= N (the split's minus half), with a 1
+    on each row whose event holds the atom.  The artificial of row r is
+    column ncols + r, flip_r * e_r with flip_r = -1 on a negative value:
+    flipping the row instead gives the same tableau B^-1 A.
+    """
+
+    probes = property(lambda self: self.cols.probes)
+
+    def __init__(self, cs: ConstraintSystem, split: bool) -> None:
+        built = vars(cs).get("_columns", {})  # per SCAN_PER_TABLE
+        if SCAN_PER_TABLE not in built:
+            built = {**built, SCAN_PER_TABLE: _Columns(cs)}  # a new dict
+            object.__setattr__(cs, "_columns", built)
+        self.cols = built[SCAN_PER_TABLE]
+        self.n = self.cols.n
+        self.elim = self.cols.elim
+        self.ncols = 2 * self.n if split else self.n
         self.flip = [-1 if value < 0 else 1 for _, value in cs.rows]
         # a list, not a generator: see SignedMeasure.__init__
         self.scale_b = lcm(*[value.denominator for _, value in cs.rows])
@@ -327,14 +354,8 @@ class _RevisedLP:
         if j >= self.ncols:
             r = j - self.ncols
             return [self.flip[r] * row[r] for row in self.adj]
-        col = list(map(sum, map(self.gather_at(j % self.n), self.adj)))
+        col = list(map(sum, map(self.cols.gather_at(j % self.n), self.adj)))
         return col if j < self.n else [-x for x in col]
-
-    def gather_at(self, atom: int) -> itemgetter:
-        """The _gather of the rows whose event holds the atom."""
-        if self.elim is None:
-            return self.gathers[atom]
-        return _gather([r for r, m, w in self.pieces if atom & m == w])
 
     def entering(self, phase1: bool, big_y: list[int]) -> int:
         """First column in Bland order with negative reduced cost, or -1.
@@ -359,7 +380,7 @@ class _RevisedLP:
                     return self.n + atom
         else:
             first_minus = -1
-            for atom, get in enumerate(self.gathers):
+            for atom, get in self.cols.gathers.items():
                 w = sum(get(big_y))
                 if w > cost:
                     return atom
@@ -386,12 +407,12 @@ class _RevisedLP:
         row that is not a cylinder has full-mask pieces, which make every
         atom a probe.
         """
-        if self.probes is None:
-            masks = {mask for _, mask, _ in self.pieces}
+        if self.cols.probes is None:
+            masks = {mask for _, mask, _ in self.cols.pieces}
             atoms = sorted({a for m in masks for a in _subsets(m)})
-            self.probes = [(a, self.gather_at(a)) for a in atoms]
+            self.cols.probes = [(a, self.cols.gather_at(a)) for a in atoms]
         row = self.adj[i]
-        for atom, get in self.probes:
+        for atom, get in self.cols.probes:
             if sum(get(row)):
                 return atom
         return -1

@@ -2,11 +2,13 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import negprob.cli
 import negprob.contextuality
 from negprob import ScenarioFormatError, family_mstar, tsirelson_box
 from negprob.cli import (
@@ -17,6 +19,8 @@ from negprob.cli import (
     scenario_from_data,
 )
 from helpers import mz_family
+
+GOLDEN = Path(__file__).parent / "golden"
 
 COUNTERFACTUAL_ROWS = [
     ({"Da": -1, "D1": 1, "D2": -1}, "1/2"),
@@ -285,6 +289,30 @@ def test_condition_variable_named_twice_is_refused(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "input error: --given variable 'D1' set twice\n"
     )
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("name", ["inconsistent.json", "contexts.json"])
+@pytest.mark.parametrize("flag", ["--target", "--given"])
+def test_condition_unknown_variable_is_refused_before_solving(
+    monkeypatch, capsys, fmt, name, flag
+):
+    """An unknown name is an input error whatever the verdict would be:
+    the Infeasible file and the feasible one both exit 1 with no report,
+    and neither is solved."""
+
+    def no_solve(system):
+        raise AssertionError("condition solved before checking its names")
+
+    monkeypatch.setattr(negprob.cli, "minimize_l1", no_solve)
+    path = str(GOLDEN / name)
+    flags = {"--target": "X=1", "--given": "X=-1", flag: "Q=1"}
+    argv = ["condition", path, *(x for kv in flags.items() for x in kv)]
+    assert run([*argv, "--format", fmt]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("input error: variable 'Q' not in space")
+    assert err.count("\n") == 1
 
 
 # -- scenario file validation ---------------------------------------------------

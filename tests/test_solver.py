@@ -2,8 +2,11 @@
 
 import itertools
 import random
+import sys
+import threading
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from operator import mul
 
@@ -960,3 +963,139 @@ def test_twenty_variable_ring_solves_in_kilobytes(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 1024 * 1024
+
+
+# -- one column side per system ----------------------------------------------
+
+
+def test_columns_are_built_once_per_system(monkeypatch):
+    """minimize_l1, then feasible_proper, then rank_nullity on one system
+    read its rows into pieces once, one _pieces call per row, not three.
+    The later calls build no pieces, no elimination plan and no probes
+    (each would call _subsets), on the scan and on elimination."""
+    calls = {"_pieces": 0, "_subsets": 0}
+
+    def counted(name):
+        step = getattr(solver, name)
+
+        def run(*args):
+            calls[name] += 1
+            return step(*args)
+
+        return run
+
+    for name in calls:
+        monkeypatch.setattr(solver, name, counted(name))
+    systems = [(mz_counterfactual(), False), (family_system(ncycle(10)), True)]
+    for cs, elim in systems:
+        calls.update(dict.fromkeys(calls, 0))
+        result = minimize_l1(cs)
+        assert calls["_pieces"] == len(cs.rows)
+        assert (_RevisedLP(cs, split=False).elim is not None) == elim
+        calls.update(dict.fromkeys(calls, 0))
+        assert feasible_proper(cs) is None
+        assert rank_nullity(cs) == (result.rank, result.nullity)
+        assert calls == {"_pieces": 0, "_subsets": 0}
+
+
+def _fresh(cs):
+    """An equal system that has built nothing yet."""
+    return ConstraintSystem(cs.space, cs.rows)
+
+
+def _assert_shared_columns_give_fresh_answers(cs):
+    """minimize_l1, feasible_proper and rank_nullity on one system, then
+    again in reverse order, each equal to its answer on a fresh equal
+    system; every system on the scan, then on elimination."""
+    for per_table in (10**9, 0):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver, "SCAN_PER_TABLE", per_table)
+            expected = [
+                minimize_l1(_fresh(cs)),
+                feasible_proper(_fresh(cs)),
+                rank_nullity(_fresh(cs)),
+            ]
+            shared = _fresh(cs)
+            first = [
+                minimize_l1(shared),
+                feasible_proper(shared),
+                rank_nullity(shared),
+            ]
+            again = [
+                rank_nullity(shared),
+                feasible_proper(shared),
+                minimize_l1(shared),
+            ]
+            assert first == expected == again[::-1]
+
+
+def test_shared_columns_give_fresh_answers():
+    """The 13 built-ins and the golden n-cycles 3..14."""
+    systems = _builtin_systems()
+    systems += [family_system(ncycle(n)) for n in range(3, 15)]
+    for cs in systems:
+        _assert_shared_columns_give_fresh_answers(cs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32))
+def test_shared_columns_give_fresh_answers_on_random_systems(seed):
+    _assert_shared_columns_give_fresh_answers(
+        random_small_system(random.Random(seed), 4, 6)
+    )
+
+
+def test_threads_sharing_one_system_agree_with_serial_answers():
+    """Four threads, released together, each solve one shared system that
+    has built nothing yet; every thread's answers equal the serial ones.
+    The systems cover the scan, elimination, and elimination forced on
+    rows that are no cylinders, where column fills the gather cache.  A
+    short switch interval makes the threads interleave inside the builds."""
+    small = family_system(ncycle(6))
+    plain = ConstraintSystem(
+        small.space,
+        tuple((Event.of(small.space, e.atoms), v) for e, v in small.rows),
+    )
+    cases = [
+        (mz_counterfactual(), solver.SCAN_PER_TABLE),
+        (family_system(ncycle(10)), solver.SCAN_PER_TABLE),
+        (family_system(ncycle(9)), 0),
+        (plain, 0),
+    ]
+    calls = (minimize_l1, feasible_proper, rank_nullity)
+    orders = [(0, 1, 2), (2, 1, 0), (1, 0, 2), (0, 2, 1)]
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for cs, per_table in cases:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(solver, "SCAN_PER_TABLE", per_table)
+                serial = [call(_fresh(cs)) for call in calls]
+                shared = _fresh(cs)
+                start = threading.Barrier(len(orders))
+
+                def solve(order):
+                    start.wait(timeout=60)
+                    return {k: calls[k](shared) for k in order}
+
+                with ThreadPoolExecutor(len(orders)) as pool:
+                    answers = list(pool.map(solve, orders, timeout=120))
+            for got in answers:
+                assert [got[k] for k in range(3)] == serial
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_normalization_and_solves_take_no_len_of_a_cylinder(monkeypatch):
+    """len of a cylinder over 63 or more variables does not fit
+    Py_ssize_t; includes_normalization reads a cylinder row's mask, and
+    the solves read pieces, so neither calls Event.__len__."""
+    cs = family_system(ncycle(8))
+    expected = minimize_l1(_fresh(cs)), feasible_proper(_fresh(cs))
+
+    def no_len(event):
+        raise OverflowError("len of an event called")
+
+    monkeypatch.setattr(Event, "__len__", no_len)
+    assert cs.includes_normalization
+    assert (minimize_l1(cs), feasible_proper(cs)) == expected
