@@ -13,34 +13,28 @@ exists, larger values mean signed masses are unavoidable.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import MissingPairContext
-from .measure import Context, build_space
+from .measure import Context, _Record, build_space
 from .solver import ConstraintSystem, SolveResult, assemble, minimize_l1
 
 
-@dataclass(frozen=True)
-class ContextFamily:
+class ContextFamily(_Record):
     """Global variable list plus contexts over subsets of it."""
 
     global_variables: tuple[str, ...]
     contexts: tuple[Context, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "global_variables", tuple(self.global_variables)
-        )
-        object.__setattr__(self, "contexts", tuple(self.contexts))
+    def __init__(self, global_variables, contexts) -> None:
+        self._set(tuple(global_variables), tuple(contexts))
         space = build_space(self.global_variables)  # validates names, count
         for context in self.contexts:
             for name in context.variables:
                 space.position(name)  # raises UnknownVariable for strangers
 
 
-@dataclass(frozen=True)
-class BiasWitness:
+class BiasWitness(_Record):
     """A shared event two contexts price differently.
 
     event is a partial assignment, stored as (variable, sign) pairs in
@@ -52,6 +46,9 @@ class BiasWitness:
     context_j: int
     value_i: Fraction
     value_j: Fraction
+
+    def __init__(self, event, context_i, context_j, value_i, value_j) -> None:
+        self._set(event, context_i, context_j, value_i, value_j)
 
 
 def detect_bias(family: ContextFamily) -> BiasWitness | None:

@@ -23,7 +23,6 @@ functions, so concurrent use on shared inputs is safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from numbers import Rational
@@ -56,14 +55,57 @@ def as_fraction(value: object) -> Fraction:
     raise TypeError(f"exact rational required, got {value!r}")
 
 
-@dataclass(frozen=True)
-class SampleSpace:
+class _Record:
+    """Frozen record in place of @dataclass(frozen=True), whose import
+    costs each fresh process more than the records do.  The fields are the
+    class's annotations, in order; _set stores them and keeps them as _key,
+    which equality (within one class only), hash and repr read.  No
+    __slots__: cached_property and the solver's column cache use __dict__."""
+
+    def __init_subclass__(cls) -> None:
+        if "__annotations__" in vars(cls):  # else it keeps its base's
+            cls._fields = tuple(cls.__annotations__)
+
+    def _set(self, *values: object) -> None:
+        # object.__setattr__ keeps the values inline, where a read of the
+        # __dict__ would build it and slow every later attribute read
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_key", values)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
+    def __ne__(self, other: object) -> bool:
+        # spaces are compared with != on hot paths; object's __ne__ would
+        # dispatch to __eq__ a second time
+        if other.__class__ is self.__class__:
+            return self._key != other._key
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        shown = zip(self._fields, self._key)
+        fields = ", ".join(f"{name}={value!r}" for name, value in shown)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class SampleSpace(_Record):
     """Ordered collection of named ±1 variables with canonical atom order."""
 
     variables: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "variables", tuple(self.variables))
+    def __init__(self, variables) -> None:
+        self._set(tuple(variables))
         if not self.variables:
             raise InvalidName("a sample space needs at least one variable")
         for name in self.variables:
@@ -123,7 +165,6 @@ def build_space(names: Sequence[str]) -> SampleSpace:
     return SampleSpace(names)
 
 
-@dataclass(frozen=True, init=False, eq=False, repr=False)
 class Event:
     """A set of atoms of one sample space.
 
@@ -131,11 +172,13 @@ class Event:
     from (its atoms are those with ``atom & mask == want``), else None.  A
     cylinder builds ``atoms`` only on first access.  Equality is set
     equality: two cylinders compare by ``(mask, want)``.  The hash reads
-    the space, the size and the lowest and highest atom.
+    the space, the size and the lowest and highest atom, never ``len``,
+    which overflows on a cylinder with 63 or more free variables.
     """
 
     space: SampleSpace
     cylinder: tuple[int, int] | None = None
+    __setattr__ = __delattr__ = _Record.__setattr__
 
     def __init__(self, space: SampleSpace, atoms: Iterable[int]) -> None:
         atoms = frozenset(atoms)
@@ -175,10 +218,12 @@ class Event:
     def __hash__(self) -> int:
         if self.cylinder:
             mask, want = self.cylinder
+            size = self.space.atom_count >> mask.bit_count()
             ends = want, want | (self.space.atom_count - 1) ^ mask
         else:
+            size = len(self.atoms)
             ends = (min(self.atoms), max(self.atoms)) if self.atoms else ()
-        return hash((self.space, len(self), *ends))
+        return hash((self.space, size, *ends))
 
     def __and__(self, other: "Event") -> "Event":
         self._check_same_space(other)
@@ -269,8 +314,7 @@ def _check_atoms(space: SampleSpace, atoms: Iterable[object]) -> None:
             )
 
 
-@dataclass(frozen=True, init=False)
-class SignedMeasure:
+class SignedMeasure(_Record):
     """Exact rational mass per atom; masses may be negative.
 
     ``support`` holds the nonzero masses as (atom, mass) pairs, ascending
@@ -288,13 +332,10 @@ class SignedMeasure:
             raise ValueError(
                 f"expected {space.atom_count} masses, got {len(dense)}"
             )
-        object.__setattr__(self, "space", space)
         # A list, not a generator: CPython grows a tuple from a generator
         # by resizing it, and each such tuple, once freed, stays on a
         # free list that only a full garbage collection empties.
-        object.__setattr__(
-            self, "support", tuple([(a, m) for a, m in enumerate(dense) if m])
-        )
+        self._set(space, tuple([(a, m) for a, m in enumerate(dense) if m]))
 
     @cached_property
     def mass(self) -> tuple[Fraction, ...]:
@@ -310,30 +351,28 @@ class SignedMeasure:
         _check_atoms(space, entries)
         support = [(a, as_fraction(entries[a])) for a in sorted(entries)]
         m = object.__new__(cls)
-        object.__setattr__(m, "space", space)
-        object.__setattr__(m, "support", tuple([p for p in support if p[1]]))
+        m._set(space, tuple([p for p in support if p[1]]))
         return m
 
     def total(self) -> Fraction:
         return sum((value for _, value in self.support), Fraction(0))
 
 
-@dataclass(frozen=True)
-class Context:
+class Context(_Record):
     """A proper probability distribution over a subset of the variables.
 
     ``distribution`` is dense over the ``2**k`` assignments of
     ``variables``, in the atom order of ``space``, the sample space over
-    ``variables`` (bit i set means variable i equals +1).
+    ``variables`` (bit i set means variable i equals +1).  ``space`` is
+    not a field: it is neither compared nor shown.
     """
 
     variables: tuple[str, ...]
     distribution: tuple[Fraction, ...]
-    space: SampleSpace = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        space = build_space(self.variables)
-        distribution = tuple(self.distribution)
+    def __init__(self, variables, distribution) -> None:
+        space = build_space(variables)
+        distribution = tuple(distribution)
         if len(distribution) != space.atom_count:
             raise ImproperDistribution(
                 f"expected {space.atom_count} masses, got {len(distribution)}"
@@ -344,8 +383,7 @@ class Context:
             raise ImproperDistribution(
                 "; ".join(v.detail for v in violations)
             )
-        object.__setattr__(self, "variables", space.variables)
-        object.__setattr__(self, "distribution", joint.mass)
+        self._set(space.variables, joint.mass)
         object.__setattr__(self, "space", space)
 
     def partial_mass(self, partial: Mapping[str, int]) -> Fraction:
@@ -357,13 +395,15 @@ class Context:
         )
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Record):
     """One failed axiom check, identified by axiom tag and offending atoms."""
 
     axiom: str
     detail: str
-    atoms: tuple[int, ...] = ()
+    atoms: tuple[int, ...]
+
+    def __init__(self, axiom, detail, atoms=()) -> None:
+        self._set(axiom, detail, atoms)
 
 
 def event_mass(m: SignedMeasure, e: Event) -> Fraction:

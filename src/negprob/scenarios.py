@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Mapping, NamedTuple
@@ -39,7 +38,7 @@ from .errors import (
     ScenarioFormatError,
     ValueOutOfBounds,
 )
-from .measure import Context, SampleSpace, SignedMeasure, as_fraction, build_space
+from .measure import Context, SampleSpace, SignedMeasure, _Record, as_fraction, build_space
 from .solver import ConstraintSystem, assemble
 
 MZ_VARIABLES = ("Da", "Db", "D1", "D2")
@@ -268,8 +267,7 @@ def leggett_garg_chain(
     return _pair_family(CHAIN_VARIABLES, pairs, correlations)
 
 
-@dataclass(frozen=True)
-class WaveConfig:
+class WaveConfig(_Record):
     """Geometry of the classical wave run.
 
     amplitude is the source amplitude A (exact rational, positive);
@@ -284,8 +282,8 @@ class WaveConfig:
     phi2: float
     detuning: float
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "amplitude", as_fraction(self.amplitude))
+    def __init__(self, amplitude, phi1, phi2, detuning) -> None:
+        self._set(as_fraction(amplitude), phi1, phi2, detuning)
         if self.amplitude <= 0:
             raise ValueOutOfBounds(
                 f"amplitude must be positive, got {self.amplitude}"
@@ -338,8 +336,7 @@ def nearest_rational(value: float, max_denominator: int = 10**6) -> Fraction:
     return Fraction(value).limit_denominator(max_denominator)
 
 
-@dataclass(frozen=True)
-class ScenarioBundle:
+class ScenarioBundle(_Record):
     """A named, ready-to-analyze scenario.
 
     kind is "contexts" when payload is a ContextFamily and "constraints"
@@ -350,12 +347,13 @@ class ScenarioBundle:
     payload: ContextFamily | ConstraintSystem
     label: str | None
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.payload, (ContextFamily, ConstraintSystem)):
+    def __init__(self, payload, label) -> None:
+        if not isinstance(payload, (ContextFamily, ConstraintSystem)):
             raise ValueError(
                 "bundle payload must be a ContextFamily or a "
-                f"ConstraintSystem, got {type(self.payload).__name__}"
+                f"ConstraintSystem, got {type(payload).__name__}"
             )
+        self._set(payload, label)
 
     @property
     def kind(self) -> str:

@@ -40,7 +40,6 @@ L1 norm of the reconstructed solution exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import compress
@@ -58,6 +57,7 @@ from .measure import (
     Event,
     SampleSpace,
     SignedMeasure,
+    _Record,
     _subsets,
     as_fraction,
     cylinder,
@@ -80,21 +80,20 @@ class SolveStatus(Enum):
     INFEASIBLE = "Infeasible"
 
 
-@dataclass(frozen=True)
-class ConstraintSystem:
+class ConstraintSystem(_Record):
     """Equality rows (event, value) over one space."""
 
     space: SampleSpace
     rows: tuple[tuple[Event, Fraction], ...]
 
-    def __post_init__(self) -> None:
-        rows = tuple([(e, as_fraction(v)) for e, v in self.rows])
-        object.__setattr__(self, "rows", rows)
+    def __init__(self, space, rows) -> None:
+        rows = tuple([(e, as_fraction(v)) for e, v in rows])
         for event, _ in rows:
-            if event.space != self.space:
+            if event.space != space:
                 raise SpaceMismatch(
                     "constraint event lives in a different space"
                 )
+        self._set(space, rows)
 
     @property
     def includes_normalization(self) -> bool:
@@ -107,8 +106,7 @@ class ConstraintSystem:
         )
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(_Record):
     """Outcome of an L1 minimization.
 
     status is INFEASIBLE when no signed measure satisfies the rows, in
@@ -123,6 +121,9 @@ class SolveResult:
     witness: SignedMeasure | None
     rank: int
     nullity: int
+
+    def __init__(self, status, mstar, witness, rank, nullity) -> None:
+        self._set(status, mstar, witness, rank, nullity)
 
 
 def assemble(
@@ -306,13 +307,19 @@ class _Columns:
                     rows_of[atom].append(r)
             self.gathers = dict(enumerate(map(_gather, rows_of)))
 
-    def gather_at(self, atom: int) -> itemgetter:
-        """The _gather of the rows whose event holds the atom."""
-        get = self.gathers.get(atom)
-        if get is None:  # on elim's path, where gathers starts empty
-            get = _gather([r for r, m, w in self.pieces if atom & m == w])
-            self.gathers = {**self.gathers, atom: get}
-        return get
+    def gather_at(self, atoms: list[int]) -> list[itemgetter]:
+        """The _gather of the rows whose event holds each atom.  Those not
+        yet built (on elim's path, where gathers starts empty) are built
+        in one pass and stored in one new dict."""
+        gathers, pieces = self.gathers, self.pieces
+        built = {
+            a: _gather([r for r, m, w in pieces if a & m == w])
+            for a in atoms
+            if a not in gathers
+        }
+        if built:
+            gathers = self.gathers = {**gathers, **built}
+        return [gathers[a] for a in atoms]
 
 
 class _RevisedLP:
@@ -354,7 +361,9 @@ class _RevisedLP:
         if j >= self.ncols:
             r = j - self.ncols
             return [self.flip[r] * row[r] for row in self.adj]
-        col = list(map(sum, map(self.cols.gather_at(j % self.n), self.adj)))
+        atom = j % self.n
+        get = self.cols.gathers.get(atom) or self.cols.gather_at([atom])[0]
+        col = list(map(sum, map(get, self.adj)))
         return col if j < self.n else [-x for x in col]
 
     def entering(self, phase1: bool, big_y: list[int]) -> int:
@@ -410,7 +419,7 @@ class _RevisedLP:
         if self.cols.probes is None:
             masks = {mask for _, mask, _ in self.cols.pieces}
             atoms = sorted({a for m in masks for a in _subsets(m)})
-            self.cols.probes = [(a, self.cols.gather_at(a)) for a in atoms]
+            self.cols.probes = list(zip(atoms, self.cols.gather_at(atoms)))
         row = self.adj[i]
         for atom, get in self.cols.probes:
             if sum(get(row)):

@@ -1099,3 +1099,40 @@ def test_normalization_and_solves_take_no_len_of_a_cylinder(monkeypatch):
     monkeypatch.setattr(Event, "__len__", no_len)
     assert cs.includes_normalization
     assert (minimize_l1(cs), feasible_proper(cs)) == expected
+
+
+def test_event_hash_takes_no_len(monkeypatch):
+    """Hashing a row event reads its size without len, which a cylinder
+    over 63 or more free variables overflows; every hash stays the same."""
+    events = [event for event, _ in family_system(ncycle(8)).rows]
+    events += [Event.of(e.space, e.atoms) for e in events[:3]]
+    expected = [hash(event) for event in events]
+
+    def no_len(event):
+        raise OverflowError("len of an event called")
+
+    monkeypatch.setattr(Event, "__len__", no_len)
+    assert [hash(event) for event in events] == expected
+
+
+def test_first_real_stores_the_probe_gathers_once(monkeypatch):
+    """On elimination the gather cache starts empty; the first first_real
+    builds every probe's gather in one pass and assigns the merged cache
+    once, where one assignment per probe atom copied it each time."""
+    monkeypatch.setattr(solver, "SCAN_PER_TABLE", 0)
+    lp = _RevisedLP(family_system(ncycle(8)), split=False)
+    assert lp.elim is not None and lp.cols.gathers == {}
+    stores = []
+
+    class Counting(type(lp.cols)):
+        def __setattr__(self, name, value):
+            stores.append(name)
+            super().__setattr__(name, value)
+
+    lp.cols.__class__ = Counting
+    assert lp.first_real(0) >= 0
+    assert len(lp.probes) > 1
+    assert stores.count("gathers") == 1
+    assert [get for _, get in lp.probes] == [
+        lp.cols.gathers[atom] for atom, _ in lp.probes
+    ]
