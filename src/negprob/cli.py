@@ -104,7 +104,7 @@ def _context_from_data(entry: object, index: int) -> Context:
             mass[space.atom_from_label(key)] = parse_rational(raw)
     except InvalidAssignment as exc:
         raise ScenarioFormatError(f"{where}: {exc}") from exc
-    return Context(space.variables, mass)
+    return Context(space, mass)
 
 
 def scenario_from_data(data: object, label: str) -> ScenarioBundle:

@@ -32,6 +32,7 @@ class ContextFamily(_Record):
         for context in self.contexts:
             for name in context.variables:
                 space.position(name)  # raises UnknownVariable for strangers
+        object.__setattr__(self, "_space", space)  # not a field
 
 
 class BiasWitness(_Record):
@@ -51,6 +52,19 @@ class BiasWitness(_Record):
         self._set(event, context_i, context_j, value_i, value_j)
 
 
+def _shared_table(context: Context, shared: tuple[str, ...]) -> list:
+    """The context's masses summed onto the assignments of shared, in one
+    pass: entry s has shared[k] = +1 exactly when bit k of s is set."""
+    entry = [0]  # per atom of the context
+    for name in context.variables:
+        bit = 1 << shared.index(name) if name in shared else 0
+        entry += [s | bit for s in entry]
+    table: list = [0] * (1 << len(shared))
+    for s, p in zip(entry, context.distribution):
+        table[s] = table[s] + p if table[s] else p  # a first mass: no sum
+    return table
+
+
 def detect_bias(family: ContextFamily) -> BiasWitness | None:
     """First disagreement between any two contexts on a shared event.
 
@@ -60,35 +74,37 @@ def detect_bias(family: ContextFamily) -> BiasWitness | None:
     sub-assignments are compared, not only full ones, since any shared
     event can disagree.  Returns None exactly when every pair of contexts
     agrees on all shared events.
+
+    Each context of a pair is read once, into its table over the shared
+    variables; a subset then sums only the entries where the tables differ.
     """
     for i, j in itertools.combinations(range(len(family.contexts)), 2):
-        ctx_i = family.contexts[i]
-        ctx_j = family.contexts[j]
-        shared = tuple(  # a list: see SignedMeasure.__init__
-            [
-                v
-                for v in family.global_variables
-                if v in ctx_i.variables and v in ctx_j.variables
-            ]
-        )
-        if not shared:
+        ctx_i, ctx_j = family.contexts[i], family.contexts[j]
+        both = set(ctx_i.variables).intersection(ctx_j.variables)
+        if not both:
             continue
-        for mask in range(1, 1 << len(shared)):
-            subset = tuple(
-                [shared[k] for k in range(len(shared)) if mask >> k & 1]
-            )
-            for signs in itertools.product((+1, -1), repeat=len(subset)):
-                partial = dict(zip(subset, signs))
-                value_i = ctx_i.partial_mass(partial)
-                value_j = ctx_j.partial_mass(partial)
-                if value_i != value_j:
-                    return BiasWitness(
-                        event=tuple(zip(subset, signs)),
-                        context_i=i,
-                        context_j=j,
-                        value_i=value_i,
-                        value_j=value_j,
+        shared = tuple([v for v in family.global_variables if v in both])
+        table_i = _shared_table(ctx_i, shared)
+        table_j = _shared_table(ctx_j, shared)
+        pairs = enumerate(zip(table_i, table_j))
+        diff = [(s, p - q) for s, (p, q) in pairs if p != q]
+        for mask in range(1, 1 << len(shared)) if diff else ():
+            gaps: dict[int, Fraction] = {}
+            for s, d in diff:
+                gaps[s & mask] = gaps.get(s & mask, 0) + d
+            if not any(gaps.values()):
+                continue
+            ks = [k for k in range(len(shared)) if mask >> k & 1]
+            for signs in itertools.product((+1, -1), repeat=len(ks)):
+                want = sum([1 << k for k, sign in zip(ks, signs) if sign > 0])
+                gap = gaps.get(want)  # value_i - value_j
+                if gap:
+                    value_i = sum(
+                        [p for s, p in enumerate(table_i) if s & mask == want],
+                        Fraction(0),
                     )
+                    event = tuple(zip([shared[k] for k in ks], signs))
+                    return BiasWitness(event, i, j, value_i, value_i - gap)
     return None
 
 
@@ -103,12 +119,11 @@ def family_system(family: ContextFamily) -> ConstraintSystem:
     """
     rows = []
     for context in family.contexts:
-        sign = context.space.atom_sign
+        bits = tuple(enumerate(context.variables))  # bit i is variable i
         for atom, value in enumerate(context.distribution):
-            partial = {name: sign(atom, name) for name in context.variables}
+            partial = {name: 1 if atom >> i & 1 else -1 for i, name in bits}
             rows.append((partial, value))
-    space = build_space(family.global_variables)
-    return assemble(space, rows, keep_contradictions=True)
+    return assemble(family._space, rows, keep_contradictions=True)
 
 
 def family_mstar(family: ContextFamily) -> SolveResult:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from numbers import Rational
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -160,9 +161,9 @@ class SampleSpace(_Record):
         return range(self.atom_count)
 
 
-def build_space(names: Sequence[str]) -> SampleSpace:
-    """Create a sample space with the canonical bit-encoded atom order."""
-    return SampleSpace(names)
+def build_space(names: Sequence[str] | SampleSpace) -> SampleSpace:
+    """Create a sample space in canonical atom order; a space passes as is."""
+    return names if type(names) is SampleSpace else SampleSpace(names)
 
 
 class Event:
@@ -377,13 +378,13 @@ class Context(_Record):
             raise ImproperDistribution(
                 f"expected {space.atom_count} masses, got {len(distribution)}"
             )
-        joint = SignedMeasure(space, distribution)
-        violations = validate_kolmogorov(joint)
+        dense = tuple([as_fraction(m) for m in distribution])
+        violations = _kolmogorov(space, list(enumerate(dense)))
         if violations:
             raise ImproperDistribution(
                 "; ".join(v.detail for v in violations)
             )
-        self._set(space.variables, joint.mass)
+        self._set(space.variables, dense)
         object.__setattr__(self, "space", space)
 
     def partial_mass(self, partial: Mapping[str, int]) -> Fraction:
@@ -477,18 +478,27 @@ def validate_kolmogorov(m: SignedMeasure) -> list[Violation]:
     K1: every atom mass in [0, 1].  K2: total mass 1.  Additivity holds by
     construction and is not re-checked.
     """
+    return _kolmogorov(m.space, m.support)
+
+
+def _kolmogorov(space: SampleSpace, masses: Sequence) -> list[Violation]:
+    """validate_kolmogorov on (atom, mass) pairs, ascending by atom; the
+    sums are on ints, as a Fraction sum renormalizes at every step."""
     violations: list[Violation] = []
-    for atom, value in m.support:
-        if not 0 <= value <= 1:
+    for atom, value in masses:
+        # 0 <= value <= 1 on ints: a Fraction's denominator is positive
+        if not 0 <= value.numerator <= value.denominator:
             violations.append(
                 Violation(
                     "K1",
-                    f"atom {m.space.atom_label(atom)} has mass {value}",
+                    f"atom {space.atom_label(atom)} has mass {value}",
                     (atom,),
                 )
             )
-    total = m.total()
-    if total != 1:
+    den = lcm(*[value.denominator for _, value in masses])
+    num = sum([v.numerator * (den // v.denominator) for _, v in masses])
+    if num != den:
+        total = Fraction(num, den)
         violations.append(Violation("K2", f"total mass is {total}, not 1"))
     return violations
 

@@ -108,8 +108,8 @@ def mach_zehnder_case(n: int) -> ContextFamily:
     if n not in _CASES:
         raise InvalidCase(f"case must be 1..8, got {n!r}")
     variables, entries = _CASES[n]
-    context = Context(variables, _from_labels(variables, entries).mass)
-    return ContextFamily(variables, (context,))
+    joint = _from_labels(variables, entries)
+    return ContextFamily(variables, (Context(joint.space, joint.mass),))
 
 
 def _counterfactual_rows(

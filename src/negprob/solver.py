@@ -335,7 +335,7 @@ class _RevisedLP:
     probes = property(lambda self: self.cols.probes)
 
     def __init__(self, cs: ConstraintSystem, split: bool) -> None:
-        built = vars(cs).get("_columns", {})  # per SCAN_PER_TABLE
+        built = getattr(cs, "_columns", {})  # not vars: see _Record._set
         if SCAN_PER_TABLE not in built:
             built = {**built, SCAN_PER_TABLE: _Columns(cs)}  # a new dict
             object.__setattr__(cs, "_columns", built)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import negprob.cli
 import negprob.contextuality
+import negprob.measure
 from negprob import ScenarioFormatError, family_mstar, tsirelson_box
 from negprob.cli import (
     RATIONAL_MAX_CHARS,
@@ -407,6 +408,25 @@ def test_builtin_document_assembles_its_rows_once(tmp_path, monkeypatch):
     doc = {"builtin": {"name": "pr-box"}, "variables": ["A", "A2", "B", "B2"]}
     assert run(["solve", write_json(tmp_path, "builtin.json", doc)]) == 0
     assert len(calls) == 1
+
+
+def test_contexts_document_builds_each_space_once(tmp_path, monkeypatch):
+    """One sample space per context, and one over the global variables."""
+    built = []
+    init = negprob.measure.SampleSpace.__init__
+
+    def counted(self, variables):
+        built.append(tuple(variables))
+        init(self, variables)
+
+    monkeypatch.setattr(negprob.measure.SampleSpace, "__init__", counted)
+    family = mz_family(6, 7)
+    path = family_file(tmp_path, "contexts.json", family)
+    built.clear()
+    assert run(["solve", path]) == 0
+    assert built == [c.variables for c in family.contexts] + [
+        family.global_variables
+    ]
 
 
 def test_builtin_document_variables_must_match(tmp_path, capsys):

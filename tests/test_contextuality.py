@@ -1,9 +1,12 @@
 """Bias detection, family analysis, and the CHSH relation."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from negprob import (
     BiasWitness,
@@ -13,7 +16,9 @@ from negprob import (
     MissingPairContext,
     SolveStatus,
     UnknownVariable,
+    assemble,
     bell_box,
+    build_space,
     check_mstar_s_relation,
     chsh_s,
     detect_bias,
@@ -44,6 +49,43 @@ def test_context_must_be_proper():
         Context(("X",), (HALF, HALF, HALF))
     with pytest.raises(ImproperDistribution):
         Context(("X", "Y"), (HALF, HALF, HALF, HALF))
+
+
+@pytest.mark.parametrize(
+    "variables, distribution, message",
+    [
+        (  # K1 entries in atom order
+            ("X", "Y"),
+            (Fraction(-1, 4), Fraction(3, 2), 0, Fraction(-1, 4)),
+            "atom -- has mass -1/4; atom +- has mass 3/2; "
+            "atom ++ has mass -1/4",
+        ),
+        (("X", "Y"), (Fraction(1, 4),) * 3 + (0,), "total mass is 3/4, not 1"),
+        (  # K1, then K2; strings and ints are exact masses too
+            ("X", "Y", "Z"),
+            ("1/2", 2, "-1/2", 0, 0, 0, 0, 0),
+            "atom +-- has mass 2; atom -+- has mass -1/2; "
+            "total mass is 2, not 1",
+        ),
+        (("X",), (0.5, 0.5, 0.5), "expected 2 masses, got 3"),  # size first
+    ],
+)
+def test_improper_context_messages(variables, distribution, message):
+    with pytest.raises(ImproperDistribution) as caught:
+        Context(variables, distribution)
+    assert str(caught.value) == message
+
+
+def test_context_refuses_float_masses():
+    with pytest.raises(TypeError, match="exact rational required, got 0.5"):
+        Context(("X",), (0.5, 0.5))
+
+
+def test_context_keeps_a_space_passed_as_its_variables():
+    space = build_space(("Y", "X"))
+    context = Context(space, (0, HALF, HALF, 0))
+    assert context.space is space
+    assert context == Context(("Y", "X"), (0, HALF, HALF, 0))
 
 
 # -- bias detection ----------------------------------------------------------
@@ -98,6 +140,90 @@ def test_bias_detection_is_deterministic():
     assert detect_bias(family) == detect_bias(family)
 
 
+def reference_bias(family):
+    """The scan detect_bias promises, one partial_mass call per event."""
+    for i, j in itertools.combinations(range(len(family.contexts)), 2):
+        ctx_i, ctx_j = family.contexts[i], family.contexts[j]
+        shared = [
+            v
+            for v in family.global_variables
+            if v in ctx_i.variables and v in ctx_j.variables
+        ]
+        for mask in range(1, 1 << len(shared)):
+            subset = [v for k, v in enumerate(shared) if mask >> k & 1]
+            for signs in itertools.product((+1, -1), repeat=len(subset)):
+                partial = dict(zip(subset, signs))
+                value_i = ctx_i.partial_mass(partial)
+                value_j = ctx_j.partial_mass(partial)
+                if value_i != value_j:
+                    event = tuple(zip(subset, signs))
+                    return BiasWitness(event, i, j, value_i, value_j)
+    return None
+
+
+@st.composite
+def families(draw):
+    """Marginals of one hidden joint on 2-5 variables, each context over a
+    drawn subset in a shuffled order; a drawn number of contexts then have
+    one unit of mass moved between two of their atoms, which biases the
+    family when the two atoms differ on a variable another context has."""
+    n = draw(st.integers(2, 5))
+    names = tuple(f"v{i}" for i in range(n))
+    weights = draw(st.lists(st.integers(0, 3), min_size=1 << n, max_size=1 << n))
+    weights[draw(st.integers(0, (1 << n) - 1))] += 1  # a positive total
+    total = sum(weights)
+    contexts = []
+    for _ in range(draw(st.integers(2, 4))):
+        order = draw(st.permutations(names))[: draw(st.integers(1, n))]
+        bits = [names.index(v) for v in order]
+        units = [0] * (1 << len(order))
+        for atom, w in enumerate(weights):
+            units[sum((atom >> b & 1) << k for k, b in enumerate(bits))] += w
+        if draw(st.booleans()):
+            source = draw(st.sampled_from([a for a, u in enumerate(units) if u]))
+            units[source] -= 1
+            units[draw(st.integers(0, len(units) - 1))] += 1
+        contexts.append(Context(order, [Fraction(u, total) for u in units]))
+    return ContextFamily(names, contexts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(families())
+def test_detect_bias_matches_the_partial_mass_scan(family):
+    witness = detect_bias(family)
+    contexts = family.contexts
+    event("biased" if witness else "unbiased")
+    if any(
+        len(set(a.variables) & set(b.variables)) >= 2
+        for a, b in itertools.combinations(contexts, 2)
+    ):
+        event("a pair shares two or more variables")
+    expected = reference_bias(family)
+    assert witness == expected
+    assert repr(witness) == repr(expected)
+
+
+def test_wide_contexts_are_read_as_tables(monkeypatch):
+    """Twelve shared variables: 531,440 shared events, none priced alone."""
+    names = tuple(f"v{i}" for i in range(12))
+    uniform = [Fraction(1, 4096)] * 4096
+    moved = list(uniform)
+    moved[0], moved[1 << 11] = 0, Fraction(2, 4096)  # differ in v11 only
+    same = ContextFamily(names, (Context(names, uniform),) * 2)
+    shifted = ContextFamily(
+        names, (Context(names, uniform), Context(names, moved))
+    )
+
+    def refuse(self, partial):
+        raise AssertionError("partial_mass called")
+
+    monkeypatch.setattr(Context, "partial_mass", refuse)
+    assert detect_bias(same) is None
+    assert detect_bias(shifted) == BiasWitness(
+        (("v11", 1),), 0, 1, HALF, Fraction(2049, 4096)
+    )
+
+
 # -- family systems ----------------------------------------------------------
 
 
@@ -110,6 +236,38 @@ def test_family_system_deduplicates_repeated_contexts():
 def test_family_system_row_count_for_chain():
     cs = family_system(leggett_garg_chain(1, 1, -1))
     assert len(cs.rows) == 13
+
+
+def per_atom_rows(family):
+    """family_system's rows, one atom_sign per variable per atom."""
+    rows = []
+    for context in family.contexts:
+        sign = context.space.atom_sign
+        for atom, value in enumerate(context.distribution):
+            partial = {name: sign(atom, name) for name in context.variables}
+            rows.append((partial, value))
+    space = build_space(family.global_variables)
+    return assemble(space, rows, keep_contradictions=True)
+
+
+def row_keys(system):
+    return [(event.cylinder, value) for event, value in system.rows]
+
+
+@settings(max_examples=100, deadline=None)
+@given(families())
+def test_family_system_rows_match_per_atom_rows(family):
+    system = family_system(family)
+    expected = per_atom_rows(family)
+    assert system.space == expected.space
+    assert row_keys(system) == row_keys(expected)
+
+
+def test_builtin_family_rows_match_per_atom_rows():
+    for family in [mz_family(1, 4, 6, 8), leggett_garg_chain(1, 1, -1)]:
+        assert row_keys(family_system(family)) == row_keys(
+            per_atom_rows(family)
+        )
 
 
 def test_single_case_families_admit_proper_joints():
