@@ -109,17 +109,17 @@ class SampleSpace(_Record):
         self._set(tuple(variables))
         if not self.variables:
             raise InvalidName("a sample space needs at least one variable")
+        if len(self.variables) > MAX_VARIABLES:  # before the quadratic scan
+            raise TooManyVariables(
+                f"{len(self.variables)} variables exceed the "
+                f"{MAX_VARIABLES}-variable enumeration limit"
+            )
         for name in self.variables:
             if not isinstance(name, str) or not name:
                 raise InvalidName(f"bad variable name {name!r}")
         for i, name in enumerate(self.variables):
             if name in self.variables[:i]:
                 raise DuplicateName(f"variable {name!r} listed twice")
-        if len(self.variables) > MAX_VARIABLES:
-            raise TooManyVariables(
-                f"{len(self.variables)} variables exceed the "
-                f"{MAX_VARIABLES}-variable enumeration limit"
-            )
 
     @property
     def atom_count(self) -> int:
@@ -252,7 +252,15 @@ class Event:
         return iter(sorted(self.atoms))
 
     def __repr__(self) -> str:
-        labels = [self.space.atom_label(a) for a in sorted(self.atoms)]
+        if self.cylinder:  # its 8 lowest atoms, not all 2^free of them
+            mask, want = self.cylinder
+            free = low = (self.space.atom_count - 1) ^ mask
+            for _ in range(3):
+                free &= free - 1  # drop the lowest free bit
+            atoms = _subsets(low ^ free, want)
+        else:
+            atoms = sorted(self.atoms)
+        labels = [self.space.atom_label(a) for a in atoms]
         if len(labels) > 6:
             labels = labels[:6] + ["..."]
         return f"Event({{{', '.join(labels)}}})"

@@ -112,38 +112,13 @@ def mach_zehnder_case(n: int) -> ContextFamily:
     return ContextFamily(variables, (Context(joint.space, joint.mass),))
 
 
-def _counterfactual_rows(
-    p_d1: Fraction, p_d2: Fraction
-) -> list[tuple[dict[str, int], Fraction]]:
-    return [
-        # runs with arm a blocked, kept only when Da stayed silent
-        ({"Da": -1, "D1": +1, "D2": -1}, _HALF),
-        ({"Da": -1, "D1": -1, "D2": +1}, _HALF),
-        # runs with arm b blocked, kept only when Db stayed silent
-        ({"Db": -1, "D1": -1, "D2": +1}, _HALF),
-        ({"Db": -1, "D1": +1, "D2": -1}, _HALF),
-        # output statistics with both arms open
-        ({"D1": +1, "D2": +1}, Fraction(0)),
-        ({"D1": +1, "D2": -1}, p_d1),
-        ({"D1": -1, "D2": +1}, p_d2),
-        ({"D1": -1, "D2": -1}, Fraction(0)),
-        # one photon: never both path detectors, each arm half the time
-        ({"Da": +1, "Db": +1}, Fraction(0)),
-        ({"Da": +1, "Db": -1}, _HALF),
-        ({"Da": -1, "Db": +1}, _HALF),
-        ({"Da": -1, "Db": -1}, Fraction(0)),
-    ]
-
-
 def mz_counterfactual() -> ConstraintSystem:
     """Joint constraints pooled from the blocked-arm and open runs.
 
     Twelve cylinder rows plus normalization over (Da, Db, D1, D2).  The
     system has signed solutions but no proper one.
     """
-    return assemble(
-        mz_space(), _counterfactual_rows(Fraction(1), Fraction(0))
-    )
+    return mz_counterfactual_detuned(0)
 
 
 def mz_counterfactual_detuned(eps: object) -> ConstraintSystem:
@@ -159,7 +134,25 @@ def mz_counterfactual_detuned(eps: object) -> ConstraintSystem:
     if not 0 <= eps_f < _HALF:
         raise EpsOutOfRange(f"eps must lie in [0, 1/2), got {eps_f}")
     return assemble(
-        mz_space(), _counterfactual_rows(1 - eps_f, eps_f)
+        mz_space(),
+        [
+            # runs with arm a blocked, kept only when Da stayed silent
+            ({"Da": -1, "D1": +1, "D2": -1}, _HALF),
+            ({"Da": -1, "D1": -1, "D2": +1}, _HALF),
+            # runs with arm b blocked, kept only when Db stayed silent
+            ({"Db": -1, "D1": -1, "D2": +1}, _HALF),
+            ({"Db": -1, "D1": +1, "D2": -1}, _HALF),
+            # output statistics with both arms open
+            ({"D1": +1, "D2": +1}, Fraction(0)),
+            ({"D1": +1, "D2": -1}, 1 - eps_f),
+            ({"D1": -1, "D2": +1}, eps_f),
+            ({"D1": -1, "D2": -1}, Fraction(0)),
+            # one photon: never both path detectors, each arm half the time
+            ({"Da": +1, "Db": +1}, Fraction(0)),
+            ({"Da": +1, "Db": -1}, _HALF),
+            ({"Da": -1, "Db": +1}, _HALF),
+            ({"Da": -1, "Db": -1}, Fraction(0)),
+        ],
     )
 
 

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress
 from math import lcm
 from operator import add, itemgetter
 from typing import Iterable, Mapping
@@ -65,7 +65,7 @@ from .measure import (
     l1_norm,
 )
 
-ASSEMBLE_VALUE_BOUND = Fraction(10) ** 9
+ASSEMBLE_VALUE_BOUND = 10**9
 # Pricing eliminates variables instead of scanning atoms when the scan's
 # (atom, row) count exceeds this many times the elimination's table count.
 # Timed with CPython 3.11 on one x86-64 core over 34 cylinder systems of
@@ -138,28 +138,25 @@ def assemble(
     duplicates are dropped; the same event with two different values
     raises ContradictoryRows, unless keep_contradictions is set: then both
     rows stay, and the system is infeasible (the verdict for a biased
-    context family).  The normalization row (full space equals 1) is
-    appended unless the caller already supplied it.
+    context family).  The normalization row (full space equals 1) is the
+    last input, so a caller's own full-space row meets the same rule.
     """
     rows: list[tuple[Event, Fraction]] = []
-    seen: dict[object, Fraction] = {}
-
-    def add(event: Event, value: Fraction) -> None:
-        key = (event.cylinder, value if keep_contradictions else None)
-        if key not in seen:
-            seen[key] = value
-            rows.append((event, value))
-        elif seen[key] != value:
-            raise ContradictoryRows(event, seen[key], value)
-
-    for partial, raw in constraints:
+    seen: dict[object, int] = {}  # key -> index of its row in rows
+    for partial, raw in chain(constraints, [({}, 1)]):
         value = as_fraction(raw)
-        if abs(value) > ASSEMBLE_VALUE_BOUND:
+        num, den = value.numerator, value.denominator
+        if abs(num) > ASSEMBLE_VALUE_BOUND * den:
             raise ValueOutOfBounds(
                 f"constraint value {value} outside sanity bound"
             )
-        add(cylinder(space, partial), value)
-    add(Event.full(space), Fraction(1))
+        event = cylinder(space, partial)
+        key = (event.cylinder, (num, den) if keep_contradictions else None)
+        i = seen.setdefault(key, len(rows))
+        if i == len(rows):
+            rows.append((event, value))
+        elif rows[i][1] != value:
+            raise ContradictoryRows(event, rows[i][1], value)
     return ConstraintSystem(space, tuple(rows))
 
 

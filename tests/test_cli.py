@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, rendering, and scenario files."""
 
 import json
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import negprob
 import negprob.cli
 import negprob.contextuality
 import negprob.measure
@@ -530,6 +533,28 @@ def test_deeply_nested_file_is_an_input_error(tmp_path, capsys):
     assert len(err.splitlines()) == 1
     assert err.startswith("input error:")
     assert "Traceback" not in err
+
+
+def test_long_variable_list_is_refused_at_once(tmp_path):
+    """The variable count is checked before the names are scanned for
+    duplicates, a scan quadratic in the list's length."""
+    names = [f"v{i}" for i in range(200_000)]
+    doc = {"variables": names, "constraints": []}
+    path = write_json(tmp_path, "wide.json", doc)
+    src = str(Path(negprob.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "negprob.cli", "solve", path],
+        env={"PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr == (
+        "input error: 200000 variables exceed the 24-variable "
+        "enumeration limit\n"
+    )
 
 
 def test_overlong_literals_are_input_errors(tmp_path, capsys):

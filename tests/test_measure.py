@@ -61,6 +61,9 @@ def test_build_space_rejects_too_many():
     names = tuple(f"v{i}" for i in range(25))
     with pytest.raises(TooManyVariables):
         build_space(names)
+    # over the cap, the count is refused before any name is checked
+    with pytest.raises(TooManyVariables):
+        build_space(names + ("v0", ""))
 
 
 def test_build_space_rejects_empty_name():

@@ -153,6 +153,33 @@ def test_context_keeps_its_space_out_of_repr_and_equality():
         CTX.space = XY
 
 
+def test_cylinder_repr_lists_its_lowest_atoms_without_building_the_rest():
+    """A cylinder prints as the event of its atoms listed out, but reads
+    only its eight lowest, so a contradictory row over 24 variables is
+    worded at once."""
+    for n in range(1, 6):
+        space = SampleSpace([f"v{i}" for i in range(n)])
+        for mask in range(1 << n):
+            for want in range(1 << n):
+                if want & ~mask:
+                    continue
+                partial = {
+                    name: 1 if want >> i & 1 else -1
+                    for i, name in enumerate(space.variables)
+                    if mask >> i & 1
+                }
+                event = cylinder(space, partial)
+                assert repr(event) == repr(Event(space, event.atoms))
+    wide = SampleSpace([f"v{i}" for i in range(24)])
+    event = cylinder(wide, {"v1": 1, "v23": -1})
+    assert repr(event) == (
+        "Event({-+----------------------, ++----------------------, "
+        "-++---------------------, +++---------------------, "
+        "-+-+--------------------, ++-+--------------------, ...})"
+    )
+    assert "atoms" not in vars(event)
+
+
 def test_event_is_frozen_and_keeps_its_own_equality_hash_and_repr():
     by_position = Event(XY, [2, 3])
     by_keyword = Event(space=XY, atoms=frozenset({3, 2}))

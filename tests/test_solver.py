@@ -18,10 +18,12 @@ from negprob import (
     ConstraintSystem,
     ContradictoryRows,
     Event,
+    InvalidAssignment,
     MissingNormalization,
     SignedMeasure,
     SolveStatus,
     SpaceMismatch,
+    UnknownVariable,
     ValueOutOfBounds,
     assemble,
     build_space,
@@ -66,6 +68,14 @@ def test_assemble_appends_normalization():
     assert len(cs.rows) == 2
     assert cs.includes_normalization
     assert cs.rows[-1] == (Event.full(XY), Fraction(1))
+    # a generator is read once, and its rows come before normalization
+    rows = (({"Y": sign}, Fraction(1, 2)) for sign in (1, -1))
+    assert [e.cylinder for e, _ in assemble(XY, rows).rows] == [
+        (2, 2),
+        (2, 0),
+        (0, 0),
+    ]
+    assert next(rows, None) is None
 
 
 def test_assemble_drops_exact_duplicates():
@@ -74,6 +84,13 @@ def test_assemble_drops_exact_duplicates():
         [({"X": 1}, Fraction(1, 2)), ({"X": 1}, Fraction(1, 2))],
     )
     assert len(cs.rows) == 2
+    # a string value is the Fraction it spells, so these are duplicates too
+    rows = [({"X": 1}, "1/2"), ({"X": 1}, Fraction(2, 4)), ({}, "1")]
+    cs = assemble(XY, rows)
+    assert cs.rows == (
+        (cylinder(XY, {"X": 1}), Fraction(1, 2)),
+        (Event.full(XY), Fraction(1)),
+    )
 
 
 def test_assemble_rejects_contradiction():
@@ -99,6 +116,12 @@ def test_assemble_keeps_contradictions_on_request():
     result = minimize_l1(cs)
     assert result.status is SolveStatus.INFEASIBLE
     assert (result.rank, result.nullity) == rank_nullity(cs) == (2, 2)
+    # a caller's full-space row is kept like any other, ahead of the 1
+    cs = assemble(XY, [({}, "1/2")], keep_contradictions=True)
+    assert cs.rows == (
+        (Event.full(XY), Fraction(1, 2)),
+        (Event.full(XY), Fraction(1)),
+    )
 
 
 def test_includes_normalization_is_read_from_rows():
@@ -123,11 +146,90 @@ def test_assemble_rejects_wrong_total():
 def test_assemble_rejects_huge_values():
     with pytest.raises(ValueOutOfBounds):
         assemble(XY, [({"X": 1}, Fraction(10) ** 9 + 1)])
+    cs = assemble(XY, [({"X": 1}, 10**9), ({"X": -1}, Fraction(-(10**9)))])
+    assert [value for _, value in cs.rows] == [10**9, -(10**9), 1]
+    for value, text in [
+        (10**9 + Fraction(1, 10**6), "1000000000000001/1000000"),
+        (-(10**9) - 1, "-1000000001"),
+    ]:
+        with pytest.raises(ValueOutOfBounds) as info:
+            assemble(XY, [({"X": 1}, value)])
+        assert str(info.value) == (
+            f"constraint value {text} outside sanity bound"
+        )
 
 
 def test_assemble_rejects_floats():
     with pytest.raises(TypeError):
         assemble(XY, [({"X": 1}, 0.5)])
+
+
+@pytest.mark.parametrize(
+    "rows, error",
+    [
+        # within a row: the value's type, then its bound, then the partial
+        ([({"Q": 0}, 0.5)], TypeError),
+        ([({"Q": 0}, 10**10)], ValueOutOfBounds),
+        ([({"X": 0}, 0)], InvalidAssignment),
+        ([({"Q": 1}, 0)], UnknownVariable),
+        # across rows: the first faulty row decides
+        ([({"X": 1}, 0), ({"X": 1}, 1), ({"Q": 1}, 0.5)], ContradictoryRows),
+        ([({"X": 1}, 0), ({"X": 1}, 0), ({"Q": 1}, 0)], UnknownVariable),
+        ([({"X": 1}, 0), ({}, 0)], ContradictoryRows),
+    ],
+)
+def test_assemble_error_precedence(rows, error):
+    with pytest.raises(error):
+        assemble(XY, rows)
+
+
+def reference_assemble(space, constraints, keep_contradictions):
+    """assemble's docstring, written out: one cylinder row per input pair
+    in order, then normalization; exact duplicates dropped; a second value
+    for one event refused unless contradictions are kept."""
+    rows = []
+    for partial, raw in [*constraints, ({}, 1)]:
+        if isinstance(raw, float):
+            raise TypeError(f"exact rational required, got {raw!r}")
+        value = Fraction(raw)
+        if abs(value) > Fraction(10) ** 9:
+            raise ValueOutOfBounds(
+                f"constraint value {value} outside sanity bound"
+            )
+        event = cylinder(space, partial)
+        values = [v for e, v in rows if e == event]
+        if not values or keep_contradictions and value not in values:
+            rows.append((event, value))
+        elif not keep_contradictions and values[0] != value:
+            raise ContradictoryRows(event, values[0], value)
+    return [(e.cylinder, v) for e, v in rows]
+
+
+_PARTIALS = st.sampled_from(
+    [{}, {"X": 1}, {"X": -1}, {"Y": 1}, {"X": 1, "Y": -1}, {"Y": -1, "X": 1}]
+    + [{"X": 2}, {"Q": 1}]
+)
+_VALUES = st.sampled_from(
+    [0, 1, Fraction(1, 2), "1/2", "-1/3", 10**9, -(10**9), 10**9 + 1, 0.5]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(_PARTIALS, _VALUES), max_size=8),
+    st.booleans(),
+)
+def test_assemble_matches_its_docstring(rows, keep):
+    try:
+        expected = reference_assemble(XY, rows, keep)
+    except Exception as error:
+        with pytest.raises(type(error)) as info:
+            assemble(XY, rows, keep_contradictions=keep)
+        assert type(info.value) is type(error)
+        assert str(info.value) == str(error)
+    else:
+        cs = assemble(XY, iter(rows), keep_contradictions=keep)
+        assert [(e.cylinder, v) for e, v in cs.rows] == expected
 
 
 def test_system_refuses_an_event_of_another_space():
