@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -42,7 +41,15 @@ from .errors import (
     ScenarioFormatError,
     UndefinedConditional,
 )
-from .measure import Context, SignedMeasure, build_space, cylinder, signed_conditional
+from .measure import (
+    Context,
+    SignedMeasure,
+    _not_a_literal,
+    as_fraction,
+    build_space,
+    cylinder,
+    signed_conditional,
+)
 from .scenarios import (
     BUILTIN_NAMES,
     ScenarioBundle,
@@ -57,26 +64,11 @@ from .solver import (
     minimize_l1,
 )
 
-_RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/([1-9]\d*))?")
-# Longer literals are refused before any digit is read; the goldens, the
-# built-ins and the benchmark's generated files use at most 9 characters.
-RATIONAL_MAX_CHARS = 100
-
-
 def parse_rational(text: object) -> Fraction:
-    literal = text.strip() if isinstance(text, str) else ""
-    if len(literal) > RATIONAL_MAX_CHARS:
-        raise ScenarioFormatError(
-            f"rational literal of {len(literal)} characters is longer "
-            f"than the limit of {RATIONAL_MAX_CHARS}"
-        )
-    match = _RATIONAL_RE.fullmatch(literal)
-    if match is None:
-        raise ScenarioFormatError(
-            f"expected a rational string like \"1/2\" or \"-3\", got {text!r}"
-        )
-    num, den = match.groups()
-    return Fraction(int(num), int(den or 1))
+    """as_fraction of a JSON value that must be a string."""
+    if not isinstance(text, str):
+        raise _not_a_literal(text)
+    return as_fraction(text)
 
 
 def _names(value: object, what: str) -> list[str]:

@@ -91,4 +91,4 @@ class DegenerateGeometry(NegprobError, ArithmeticError):
 
 
 class ScenarioFormatError(NegprobError, ValueError):
-    """A scenario file violates the documented JSON schema."""
+    """A rational literal or scenario file violates its documented format."""

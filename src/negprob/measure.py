@@ -23,6 +23,7 @@ functions, so concurrent use on shared inputs is safe.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -34,6 +35,7 @@ from .errors import (
     ImproperDistribution,
     InvalidAssignment,
     InvalidName,
+    ScenarioFormatError,
     SpaceMismatch,
     TooManyVariables,
     UndefinedConditional,
@@ -41,19 +43,44 @@ from .errors import (
 )
 
 MAX_VARIABLES = 24
+_LITERAL = re.compile(r"([+-]?\d+)(?:/([1-9]\d*))?")
+# Longer literals are refused before any digit is read; the goldens, the
+# built-ins and the benchmark's generated files use at most 9 characters.
+RATIONAL_MAX_CHARS = 100
 
 
 def as_fraction(value: object) -> Fraction:
-    """Coerce an int, Fraction, or rational string to Fraction.
+    """Coerce an int, Fraction, or rational literal to Fraction.
 
-    Floats are refused: silently rationalizing them would smuggle rounding
-    error into computations that are meant to be exact.
+    A literal is a string [+-]digits[/digits], with no leading 0 in its
+    denominator, of at most RATIONAL_MAX_CHARS characters once stripped:
+    the library and a scenario file read this one grammar, and refuse any
+    other string as ScenarioFormatError.  Floats are refused: silently
+    rationalizing them would smuggle rounding error into computations
+    that are meant to be exact.
     """
     if isinstance(value, Fraction):
         return value  # immutable, so no copy is needed
-    if isinstance(value, (Rational, str)) and not isinstance(value, bool):
+    if isinstance(value, str):
+        literal = value.strip()
+        if len(literal) > RATIONAL_MAX_CHARS:
+            raise ScenarioFormatError(
+                f"rational literal of {len(literal)} characters is longer "
+                f"than the limit of {RATIONAL_MAX_CHARS}"
+            )
+        match = _LITERAL.fullmatch(literal)
+        if match is None:
+            raise _not_a_literal(value)
+        num, den = match.groups()
+        return Fraction(int(num), int(den or 1))
+    if isinstance(value, Rational) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(f"exact rational required, got {value!r}")
+
+
+def _not_a_literal(value: object) -> ScenarioFormatError:
+    text = f"expected a rational string like \"1/2\" or \"-3\", got {value!r}"
+    return ScenarioFormatError(text)
 
 
 class _Record:

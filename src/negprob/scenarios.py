@@ -326,7 +326,7 @@ def wave_detection(cfg: WaveConfig) -> WaveDetection:
 def nearest_rational(value: float, max_denominator: int = 10**6) -> Fraction:
     """Closest fraction with bounded denominator, for rationalizing
     wave-model outputs before they enter a constraint system."""
-    return Fraction(value).limit_denominator(max_denominator)
+    return Fraction.from_float(value).limit_denominator(max_denominator)
 
 
 class ScenarioBundle(_Record):

@@ -208,10 +208,10 @@ class _Elimination:
             self.later.append(held)
         # the tables' entries: the assignments of U_k and bit k, per k
         self.table_count = sum(2 << u.bit_count() for u in self.later[1:])
-        self.plan: list[tuple] = []
 
-    def _build_plan(self) -> list[tuple]:
-        """Per variable k: for each assignment s of U_k and bit k, paired on
+    def build_plan(self) -> None:
+        """The plan that lowest reads, built once elimination is chosen.
+        Per variable k: for each assignment s of U_k and bit k, paired on
         bit k, the index of s & U_(k-1) in the table before k; the rows of
         the pieces of bucket k that each s meets, as layers of row indices
         padded with -1, which reads the 0 that lowest appends to y; and the
@@ -229,11 +229,10 @@ class _Elimination:
             index = {key: i for i, key in enumerate(keys)}
             plan.append((prev, layers, index))
         self.plan = plan
-        return plan
 
     def lowest(self, y: list[int], cost: int) -> int:
         """Lowest atom a with w(a) > cost, or -1; y has one entry per row."""
-        plan = self.plan or self._build_plan()
+        plan = self.plan
         get = (y + [0]).__getitem__
         # tables[k]: the table before variable k; sums[k]: its entries
         # plus bucket k's pieces, per span, before the max over bit k
@@ -272,10 +271,11 @@ class _Columns:
     """What every LP on one system reads off its rows alone.  pieces lists
     each row r's disjoint cylinders (r, mask, want), read by _pieces.
     Pricing scans gathers, one itemgetter of its rows per atom, or searches
-    elim, an _Elimination over the pieces, when the scan's (atom, row)
-    count exceeds SCAN_PER_TABLE times its table count; gathers then
-    caches column's atoms.  probes pairs first_real's atoms with theirs.
-    A part built on first use is stored whole, never grown in place."""
+    elim, a planned _Elimination over the pieces, when the scan's (atom,
+    row) count exceeds SCAN_PER_TABLE times its table count: one choice
+    per system, made here.  gathers then caches column's atoms.  probes
+    pairs first_real's atoms with theirs.  A part built on first use is
+    stored whole, never grown in place."""
 
     def __init__(self, cs: ConstraintSystem) -> None:
         self.n = cs.space.atom_count
@@ -294,6 +294,7 @@ class _Columns:
         if scan > SCAN_PER_TABLE * 2 * nvars:
             elim = _Elimination(self.pieces, nvars)
             if scan > SCAN_PER_TABLE * elim.table_count:
+                elim.build_plan()
                 self.elim = elim
         self.probes: list[tuple[int, itemgetter]] | None = None
         self.gathers: dict[int, itemgetter] = {}
@@ -329,14 +330,11 @@ class _RevisedLP:
     flipping the row instead gives the same tableau B^-1 A.
     """
 
-    probes = property(lambda self: self.cols.probes)
-
     def __init__(self, cs: ConstraintSystem, split: bool) -> None:
-        built = getattr(cs, "_columns", {})  # not vars: see _Record._set
-        if SCAN_PER_TABLE not in built:
-            built = {**built, SCAN_PER_TABLE: _Columns(cs)}  # a new dict
-            object.__setattr__(cs, "_columns", built)
-        self.cols = built[SCAN_PER_TABLE]
+        self.cols = getattr(cs, "_columns", None)  # not vars: see _Record
+        if self.cols is None:
+            self.cols = _Columns(cs)
+            object.__setattr__(cs, "_columns", self.cols)
         self.n = self.cols.n
         self.elim = self.cols.elim
         self.ncols = 2 * self.n if split else self.n

@@ -16,12 +16,12 @@ import negprob.contextuality
 import negprob.measure
 from negprob import ScenarioFormatError, family_mstar, tsirelson_box
 from negprob.cli import (
-    RATIONAL_MAX_CHARS,
     family_to_scenario,
     parse_rational,
     run,
     scenario_from_data,
 )
+from negprob.measure import RATIONAL_MAX_CHARS
 from helpers import mz_family
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -11,8 +11,9 @@ denominators within it, repeated keys, contradictory rows, long and odd
 names, and deep nesting.  Each document draws how hostile it is, so some
 are clean and reach the solver.  The sizes the engine cannot yet bound
 stay small: contexts of at most 4 variables, at most 8 contexts, at most
-16 constraint rows.  Rerun it with other seeds with
-``pytest tests/test_hostile.py --hypothesis-seed=N``.
+16 constraint rows.  A second property holds the library's entry points
+and the CLI to one rational-literal grammar.  Rerun both with other
+seeds with ``pytest tests/test_hostile.py --hypothesis-seed=N``.
 """
 
 import io
@@ -27,7 +28,17 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from negprob.cli import run
+from negprob import (
+    ConstraintSystem,
+    Context,
+    Event,
+    ScenarioFormatError,
+    SignedMeasure,
+    assemble,
+    build_space,
+)
+from negprob.cli import parse_rational, run
+from negprob.measure import as_fraction
 from negprob.scenarios import BUILTIN_NAMES, builtin_spec
 
 WALL_S = 5  # per document, all four commands
@@ -47,6 +58,10 @@ ODD_LITERALS = [
     "+1", "½", math.nan, math.inf, -math.inf, 0.5, True, 1,
 ]
 ODD_LABELS = ["", "+-+-+", "0", "x", "++ "]
+# literals on both sides of the grammar; Fraction alone reads several
+LITERALS = [text for text in ODD_LITERALS if isinstance(text, str)] + [
+    "1e-4000000", "0.5", "-0.25e1", "1_000", "1/02", " +3 ",
+]
 
 
 class Raw(str):
@@ -248,3 +263,38 @@ def test_every_command_reports_or_refuses_a_hostile_document(rng):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def _read(parse, text):
+    """parse(text), or the message of the ScenarioFormatError it raises."""
+    try:
+        return parse(text)
+    except ScenarioFormatError as exc:
+        return f"refused: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(LITERALS) | st.text("0123456789+-/._eE ", max_size=12)
+)
+def test_library_and_cli_read_one_rational_literal_grammar(text):
+    """as_fraction, the coercion behind every library entry point, and
+    parse_rational, the CLI's, give one Fraction or one refusal for every
+    string; so do ConstraintSystem and both SignedMeasure constructors,
+    and assemble and Context refuse what they refuse.  A non-string is
+    the CLI's own refusal, and no part of this property."""
+    read = _read(as_fraction, text)
+    assert _read(parse_rational, text) == read
+    space = build_space(["X"])
+    entry_points = [
+        lambda t: ConstraintSystem(space, [(Event.full(space), t)]).rows[0][1],
+        lambda t: SignedMeasure(space, [t, 0]).mass[0],
+        lambda t: SignedMeasure.from_sparse(space, {1: t}).mass[1],
+    ]
+    if isinstance(read, str):  # assemble bounds a value; a Context sums to 1
+        entry_points += [
+            lambda t: assemble(space, [({"X": 1}, t)]),
+            lambda t: Context(["X"], [t, 0]),
+        ]
+    for entry_point in entry_points:
+        assert _read(entry_point, text) == read

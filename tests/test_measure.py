@@ -17,6 +17,7 @@ from negprob import (
     InvalidAssignment,
     InvalidName,
     SampleSpace,
+    ScenarioFormatError,
     SignedMeasure,
     SpaceMismatch,
     TooManyVariables,
@@ -37,7 +38,7 @@ from negprob import (
     validate_upper,
     verify_member,
 )
-from negprob.measure import as_fraction
+from negprob.measure import RATIONAL_MAX_CHARS, as_fraction
 
 from helpers import random_small_system
 
@@ -579,13 +580,29 @@ def test_event_mass_matches_atom_sum_exhaustively(m):
 
 
 def test_as_fraction_coerces_refuses_and_does_not_copy():
+    """A Fraction is returned as it is, an int or a literal is read, and a
+    float, a bool or another object is a TypeError.  A string outside the
+    literal grammar is a ScenarioFormatError, and a ValueError, as
+    Fraction's own refusals were: decimals and exponents too, so a short
+    string cannot ask for a denominator of millions of bits."""
     half = Fraction(1, 2)
     assert as_fraction(half) is half
     assert as_fraction("-3/4") == Fraction(-3, 4)
+    assert as_fraction(" +06/8\n") == Fraction(3, 4)
     assert as_fraction(2) == Fraction(2)
     for bad in (object(), None, 0.5, True):
         with pytest.raises(TypeError, match="exact rational required"):
             as_fraction(bad)
+    for bad in ("0.5", "1e-4000000", "-0.25e1", "1_000", "1/02", "1/0",
+                "0x10", "", "1 /2", "--1", "inf", "nan"):
+        with pytest.raises(ScenarioFormatError, match="rational string") as e:
+            as_fraction(bad)
+        assert isinstance(e.value, ValueError)
+        assert str(e.value).endswith(f"got {bad!r}")
+    at_bound = "1/" + "9" * (RATIONAL_MAX_CHARS - 2)
+    assert as_fraction(f" {at_bound} ") == Fraction(1, 10**98 - 1)
+    with pytest.raises(ScenarioFormatError, match="of 101 characters"):
+        as_fraction(at_bound + "9")
 
 
 def test_space_needs_a_variable():

@@ -609,6 +609,7 @@ def test_elimination_search_matches_brute_force(case, cost):
         return next((a for a, w in enumerate(prices) if test(w)), -1)
 
     elim = _Elimination(pieces, nvars)
+    elim.build_plan()
     assert elim.lowest(y, cost) == first(lambda w: w > cost)
     assert elim.lowest([-v for v in y], cost) == first(lambda w: w < -cost)
 
@@ -667,13 +668,11 @@ def _check_first_real(nvars, rows, y, c, plain):
         (event, value), *rest = system_rows
         system_rows = ((Event.of(space, event.atoms), value), *rest)
     cs = ConstraintSystem(space, system_rows)
-    for per_table in (solver.SCAN_PER_TABLE, 0):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(solver, "SCAN_PER_TABLE", per_table)
-            lp = _RevisedLP(cs, split=False)
+    for per_table in (10**9, 0):
+        lp = _RevisedLP(_priced(cs, per_table), split=False)
         lp.adj = [y]
         assert lp.first_real(0) == expected
-        probes = [atom for atom, _ in lp.probes]
+        probes = [atom for atom, _ in lp.cols.probes]
         if plain:
             assert probes == list(range(full + 1))
         else:
@@ -744,20 +743,19 @@ def test_rank_from_probes_matches_independent_row_reduction():
         atoms = cs.space.atom_count
         _, _, free_cols = parameterization(cs)
         expected = (atoms - len(free_cols), len(free_cols))
-        for per_table in (solver.SCAN_PER_TABLE, 0):
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(solver, "SCAN_PER_TABLE", per_table)
-                assert rank_nullity(cs) == expected
-                result = minimize_l1(cs)
-                assert (result.rank, result.nullity) == expected
-                assert verify_member(cs, result.witness, result.mstar)
-                lp = _RevisedLP(cs, split=False)
+        for per_table in (10**9, 0):
+            priced = _priced(cs, per_table)
+            assert rank_nullity(priced) == expected
+            result = minimize_l1(priced)
+            assert (result.rank, result.nullity) == expected
+            assert verify_member(priced, result.witness, result.mstar)
+            lp = _RevisedLP(priced, split=False)
             _drop_redundant(lp)
             assert len(lp.basis) == expected[0]
             if probes is None:
-                assert 2 * len(lp.probes) < atoms
+                assert 2 * len(lp.cols.probes) < atoms
             else:
-                assert len(lp.probes) == probes
+                assert len(lp.cols.probes) == probes
 
 
 def test_pricing_path_follows_the_counts():
@@ -818,11 +816,11 @@ def test_carried_prices_are_the_prices(monkeypatch):
 
     monkeypatch.setattr(_RevisedLP, "entering", checked_entering)
     systems = _builtin_systems() + _cycles_and_hidden_systems()
-    for per_table in (solver.SCAN_PER_TABLE, 0):
-        monkeypatch.setattr(solver, "SCAN_PER_TABLE", per_table)
+    for per_table in (10**9, 0):
         for cs in systems:
-            minimize_l1(cs)
-            feasible_proper(cs)
+            priced = _priced(cs, per_table)
+            minimize_l1(priced)
+            feasible_proper(priced)
     assert phases == {True, False}
 
 
@@ -929,10 +927,8 @@ def _assert_elimination_matches_scan(cs):
     minimize_l1 and feasible_proper give the scan's answers and witnesses."""
     assert _RevisedLP(cs, split=True).elim is None
     expected = (minimize_l1(cs), feasible_proper(cs))
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(solver, "SCAN_PER_TABLE", 0)
-        assert _RevisedLP(cs, split=True).elim is not None
-        assert (minimize_l1(cs), feasible_proper(cs)) == expected
+    eliminated = _priced(cs, 0)
+    assert (minimize_l1(eliminated), feasible_proper(eliminated)) == expected
 
 
 def test_non_cylinder_rows_are_priced_by_the_scan():
@@ -1105,6 +1101,19 @@ def _fresh(cs):
     return ConstraintSystem(cs.space, cs.rows)
 
 
+def _priced(cs, per_table):
+    """An equal system whose columns are built under SCAN_PER_TABLE =
+    per_table, which each system reads once: 0 puts it on elimination,
+    10**9 on the scan.  The path it got is asserted, so a system that had
+    already built its columns cannot pass for the other path."""
+    cs = _fresh(cs)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "SCAN_PER_TABLE", per_table)
+        elim = _RevisedLP(cs, split=False).elim
+    assert (elim is None) == (per_table > 0)
+    return cs
+
+
 def _assert_shared_columns_give_fresh_answers(cs):
     """minimize_l1, feasible_proper and rank_nullity on one system, then
     again in reverse order, each equal to its answer on a fresh equal
@@ -1129,6 +1138,8 @@ def _assert_shared_columns_give_fresh_answers(cs):
                 minimize_l1(shared),
             ]
             assert first == expected == again[::-1]
+        elim = _RevisedLP(shared, split=False).elim
+        assert (elim is None) == (per_table > 0)
 
 
 def test_shared_columns_give_fresh_answers():
@@ -1233,8 +1244,8 @@ def test_first_real_stores_the_probe_gathers_once(monkeypatch):
 
     lp.cols.__class__ = Counting
     assert lp.first_real(0) >= 0
-    assert len(lp.probes) > 1
+    assert len(lp.cols.probes) > 1
     assert stores.count("gathers") == 1
-    assert [get for _, get in lp.probes] == [
-        lp.cols.gathers[atom] for atom, _ in lp.probes
+    assert [get for _, get in lp.cols.probes] == [
+        lp.cols.gathers[atom] for atom, _ in lp.cols.probes
     ]
