@@ -32,6 +32,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache, partial
 from typing import Mapping, Sequence
 
 from .contextuality import BiasWitness, ContextFamily, detect_bias
@@ -62,13 +63,14 @@ from .solver import (
     assemble,
     feasible_proper,
     minimize_l1,
+    rank_nullity,
 )
 
-def parse_rational(text: object) -> Fraction:
-    """as_fraction of a JSON value that must be a string."""
+def parse_rational(text: object, parse=as_fraction) -> Fraction:
+    """parse, as_fraction by default, of a JSON value that must be a string."""
     if not isinstance(text, str):
         raise _not_a_literal(text)
-    return as_fraction(text)
+    return parse(text)
 
 
 def _names(value: object, what: str) -> list[str]:
@@ -81,7 +83,7 @@ def _names(value: object, what: str) -> list[str]:
     return value
 
 
-def _context_from_data(entry: object, index: int) -> Context:
+def _context_from_data(entry: object, index: int, read) -> Context:
     where = f"contexts[{index}]"
     if not isinstance(entry, dict):
         raise ScenarioFormatError(f"{where} must be an object")
@@ -93,7 +95,7 @@ def _context_from_data(entry: object, index: int) -> Context:
     mass = [Fraction(0)] * space.atom_count
     try:
         for key, raw in distribution.items():
-            mass[space.atom_from_label(key)] = parse_rational(raw)
+            mass[space.atom_from_label(key)] = read(raw)
     except InvalidAssignment as exc:
         raise ScenarioFormatError(f"{where}: {exc}") from exc
     return Context(space, mass)
@@ -101,6 +103,8 @@ def _context_from_data(entry: object, index: int) -> Context:
 
 def scenario_from_data(data: object, label: str) -> ScenarioBundle:
     """Validate a decoded scenario document and build its bundle."""
+    # each distinct literal string of the document is parsed once
+    read = partial(parse_rational, parse=lru_cache(maxsize=None)(as_fraction))
     if not isinstance(data, dict):
         raise ScenarioFormatError("scenario document must be a JSON object")
     variables = data.get("variables")  # optional in a builtin document
@@ -118,7 +122,7 @@ def scenario_from_data(data: object, label: str) -> ScenarioBundle:
         if not isinstance(entries, list) or not entries:
             raise ScenarioFormatError("\"contexts\" must be a nonempty list")
         contexts = tuple(  # a list: see SignedMeasure.__init__
-            [_context_from_data(entry, i) for i, entry in enumerate(entries)]
+            [_context_from_data(e, i, read) for i, e in enumerate(entries)]
         )
         family = ContextFamily(tuple(variables), contexts)
         return ScenarioBundle(family, label)
@@ -139,7 +143,7 @@ def scenario_from_data(data: object, label: str) -> ScenarioBundle:
                 raise ScenarioFormatError(
                     f"constraints[{i}].event must be an object"
                 )
-            rows.append((event, parse_rational(entry["value"])))
+            rows.append((event, read(entry["value"])))
         return ScenarioBundle(assemble(space, rows), label)
     entry = data["builtin"]
     if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
@@ -147,9 +151,7 @@ def scenario_from_data(data: object, label: str) -> ScenarioBundle:
     params_data = entry.get("params", {})
     if not isinstance(params_data, dict):
         raise ScenarioFormatError("builtin params must be an object")
-    params = {
-        str(k): parse_rational(v) for k, v in params_data.items()
-    }
+    params = {str(k): read(v) for k, v in params_data.items()}
     bundle = builtin_bundle(entry["name"], params)
     if variables is not None:
         expected = list(bundle.system.space.variables)
@@ -275,32 +277,36 @@ def _render(report: dict, fmt: str) -> str:
 # --- subcommand handlers ----------------------------------------------------
 
 
-def _solve_report(
-    command: str, bundle: ScenarioBundle
-) -> tuple[dict, SolveResult]:
-    """Solve the bundle; a report with status, M*, rank and nullity."""
+def _solve_report(command: str, bundle: ScenarioBundle) -> tuple:
+    """Solve the bundle; a report with status, M*, rank and nullity, the
+    result, and the bias of a contexts bundle, found first: a biased
+    family has no signed joint, so only its rank is computed."""
     system = bundle.system
-    result = minimize_l1(system)
+    bias = detect_bias(bundle.payload) if bundle.kind == "contexts" else None
+    result = minimize_l1(system) if bias is None else SolveResult(
+        SolveStatus.INFEASIBLE, None, None, *rank_nullity(system)
+    )
     report = _empty_report(command, bundle.label, system.space.variables)
     report["status"] = result.status.value
     report["mstar"] = None if result.mstar is None else str(result.mstar)
     report["rank"] = result.rank
     report["nullity"] = result.nullity
-    return report, result
+    return report, result, bias
 
 
 def _cmd_solve(bundle: ScenarioBundle) -> tuple[dict, int]:
-    report, result = _solve_report("solve", bundle)
+    report, result, bias = _solve_report("solve", bundle)
     report["witness"] = _label_table(result.witness)
-    if bundle.kind == "contexts":
-        report["bias"] = _bias_entry(detect_bias(bundle.payload))
+    report["bias"] = _bias_entry(bias)
     return report, 2 if result.status is SolveStatus.INFEASIBLE else 0
 
 
 def _cmd_viable(bundle: ScenarioBundle) -> tuple[dict, int]:
-    system = bundle.system
-    witness = feasible_proper(system)
-    report = _empty_report("viable", bundle.label, system.space.variables)
+    """A biased family is NOT VIABLE before its rows are built."""
+    biased = bundle.kind == "contexts" and detect_bias(bundle.payload)
+    witness = None if biased else feasible_proper(bundle.system)
+    space = bundle.payload._space if biased else bundle.system.space
+    report = _empty_report("viable", bundle.label, space.variables)
     report["viable"] = witness is not None
     report["witness"] = _label_table(witness)
     return report, 0 if witness is not None else 2
@@ -346,7 +352,7 @@ def _cmd_condition(args: argparse.Namespace) -> tuple[dict, int]:
     given = _parse_assignment_flag(args.given, "--given")
     space = bundle.system.space  # an unknown name is refused before a solve
     events = cylinder(space, target), cylinder(space, given)
-    report, result = _solve_report("condition", bundle)
+    report, result, _ = _solve_report("condition", bundle)
     if result.witness is None:
         return report, 2
     entry: dict = {"target": target, "given": given}

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
 
 from .errors import MissingPairContext
 from .measure import Context, _Record, build_space
-from .solver import ConstraintSystem, SolveResult, assemble, minimize_l1
+from .solver import ConstraintSystem, SolveResult, _row_system, minimize_l1
 
 
 class ContextFamily(_Record):
@@ -52,17 +53,24 @@ class BiasWitness(_Record):
         self._set(event, context_i, context_j, value_i, value_j)
 
 
-def _shared_table(context: Context, shared: tuple[str, ...]) -> list:
-    """The context's masses summed onto the assignments of shared, in one
-    pass: entry s has shared[k] = +1 exactly when bit k of s is set."""
-    entry = [0]  # per atom of the context
-    for name in context.variables:
-        bit = 1 << shared.index(name) if name in shared else 0
+def _spread(bits: list[int]) -> list[int]:
+    """Per atom of a context, the OR of bits[i] over its +1 variables i."""
+    entry = [0]
+    for bit in bits:
         entry += [s | bit for s in entry]
-    table: list = [0] * (1 << len(shared))
-    for s, p in zip(entry, context.distribution):
-        table[s] = table[s] + p if table[s] else p  # a first mass: no sum
-    return table
+    return entry
+
+
+def _shared_table(ctx: Context, shared: tuple[str, ...], den: int) -> list:
+    """The context's masses summed onto the assignments of shared, in one
+    pass, as integers over den: entry s has shared[k] = +1 exactly when
+    bit k of s is set."""
+    own, units = ctx._units
+    table = [0] * (1 << len(shared))
+    bits = [1 << shared.index(v) if v in shared else 0 for v in ctx.variables]
+    for s, p in zip(_spread(bits), units):
+        table[s] += p
+    return [t * (den // own) for t in table]
 
 
 def detect_bias(family: ContextFamily) -> BiasWitness | None:
@@ -76,7 +84,8 @@ def detect_bias(family: ContextFamily) -> BiasWitness | None:
     agrees on all shared events.
 
     Each context of a pair is read once, into its table over the shared
-    variables; a subset then sums only the entries where the tables differ.
+    variables, of integers over the lcm of the two contexts' denominators;
+    a subset then sums only the entries where the tables differ.
     """
     for i, j in itertools.combinations(range(len(family.contexts)), 2):
         ctx_i, ctx_j = family.contexts[i], family.contexts[j]
@@ -84,12 +93,13 @@ def detect_bias(family: ContextFamily) -> BiasWitness | None:
         if not both:
             continue
         shared = tuple([v for v in family.global_variables if v in both])
-        table_i = _shared_table(ctx_i, shared)
-        table_j = _shared_table(ctx_j, shared)
+        den = lcm(ctx_i._units[0], ctx_j._units[0])
+        table_i = _shared_table(ctx_i, shared, den)
+        table_j = _shared_table(ctx_j, shared, den)
         pairs = enumerate(zip(table_i, table_j))
         diff = [(s, p - q) for s, (p, q) in pairs if p != q]
         for mask in range(1, 1 << len(shared)) if diff else ():
-            gaps: dict[int, Fraction] = {}
+            gaps: dict[int, int] = {}
             for s, d in diff:
                 gaps[s & mask] = gaps.get(s & mask, 0) + d
             if not any(gaps.values()):
@@ -97,14 +107,13 @@ def detect_bias(family: ContextFamily) -> BiasWitness | None:
             ks = [k for k in range(len(shared)) if mask >> k & 1]
             for signs in itertools.product((+1, -1), repeat=len(ks)):
                 want = sum([1 << k for k, sign in zip(ks, signs) if sign > 0])
-                gap = gaps.get(want)  # value_i - value_j
+                gap = gaps.get(want)  # (value_i - value_j) * den
                 if gap:
-                    value_i = sum(
-                        [p for s, p in enumerate(table_i) if s & mask == want],
-                        Fraction(0),
-                    )
+                    entries = enumerate(table_i)
+                    num = sum([p for s, p in entries if s & mask == want])
                     event = tuple(zip([shared[k] for k in ks], signs))
-                    return BiasWitness(event, i, j, value_i, value_i - gap)
+                    values = Fraction(num, den), Fraction(num - gap, den)
+                    return BiasWitness(event, i, j, *values)
     return None
 
 
@@ -112,18 +121,19 @@ def family_system(family: ContextFamily) -> ConstraintSystem:
     """Constraint rows a joint measure must satisfy to reproduce the family.
 
     One cylinder row per context atom (zero-probability atoms included;
-    they constrain too), plus normalization.  Exact duplicate rows are
+    they constrain too), read off the global bit positions of the
+    context's variables, plus normalization.  Exact duplicate rows are
     dropped.  Rows that pin the same event to different values are kept:
     they make the system infeasible, which is the correct verdict for a
     biased family, so no contradiction check happens here.
     """
     rows = []
     for context in family.contexts:
-        bits = tuple(enumerate(context.variables))  # bit i is variable i
-        for atom, value in enumerate(context.distribution):
-            partial = {name: 1 if atom >> i & 1 else -1 for i, name in bits}
-            rows.append((partial, value))
-    return assemble(family._space, rows, keep_contradictions=True)
+        bits = [1 << family._space.position(v) for v in context.variables]
+        mask, wants = sum(bits), _spread(bits)
+        rows += [((mask, w), p) for w, p in zip(wants, context.distribution)]
+    rows.append(((0, 0), 1))
+    return _row_system(family._space, rows, keep=True)
 
 
 def family_mstar(family: ContextFamily) -> SolveResult:

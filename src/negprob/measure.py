@@ -43,7 +43,7 @@ from .errors import (
 )
 
 MAX_VARIABLES = 24
-_LITERAL = re.compile(r"([+-]?\d+)(?:/([1-9]\d*))?")
+_LITERAL = re.compile(r"([+-]?\d+)(?:/([1-9]\d*))?", re.ASCII)
 # Longer literals are refused before any digit is read; the goldens, the
 # built-ins and the benchmark's generated files use at most 9 characters.
 RATIONAL_MAX_CHARS = 100
@@ -52,12 +52,12 @@ RATIONAL_MAX_CHARS = 100
 def as_fraction(value: object) -> Fraction:
     """Coerce an int, Fraction, or rational literal to Fraction.
 
-    A literal is a string [+-]digits[/digits], with no leading 0 in its
-    denominator, of at most RATIONAL_MAX_CHARS characters once stripped:
-    the library and a scenario file read this one grammar, and refuse any
-    other string as ScenarioFormatError.  Floats are refused: silently
-    rationalizing them would smuggle rounding error into computations
-    that are meant to be exact.
+    A literal is a string [+-]digits[/digits] of ASCII digits, with no
+    leading 0 in its denominator, of at most RATIONAL_MAX_CHARS characters
+    once stripped: the library and a scenario file read this one grammar,
+    and refuse any other string as ScenarioFormatError.  Floats are
+    refused: silently rationalizing them would smuggle rounding error into
+    computations that are meant to be exact.
     """
     if isinstance(value, Fraction):
         return value  # immutable, so no copy is needed
@@ -320,10 +320,14 @@ def cylinder(space: SampleSpace, partial: Mapping[str, int]) -> Event:
     The empty assignment gives the full space; a full assignment gives a
     singleton.
     """
-    # atoms built on demand from the free bits lie in space: no atom check
+    return _cylinder_event(space, _mask_want(space, partial))
+
+
+def _cylinder_event(space: SampleSpace, mask_want: tuple[int, int]) -> Event:
+    """The cylinder of a (mask, want) of space; its atoms need no check."""
     event = object.__new__(Event)
     object.__setattr__(event, "space", space)
-    object.__setattr__(event, "cylinder", _mask_want(space, partial))
+    object.__setattr__(event, "cylinder", mask_want)
     return event
 
 
@@ -399,8 +403,8 @@ class Context(_Record):
 
     ``distribution`` is dense over the ``2**k`` assignments of
     ``variables``, in the atom order of ``space``, the sample space over
-    ``variables`` (bit i set means variable i equals +1).  ``space`` is
-    not a field: it is neither compared nor shown.
+    ``variables`` (bit i set means variable i equals +1).  ``space`` and
+    ``_units``, the masses as (lcm, numerators over it), are not fields.
     """
 
     variables: tuple[str, ...]
@@ -414,13 +418,14 @@ class Context(_Record):
                 f"expected {space.atom_count} masses, got {len(distribution)}"
             )
         dense = tuple([as_fraction(m) for m in distribution])
-        violations = _kolmogorov(space, list(enumerate(dense)))
+        violations, units = _kolmogorov(space, list(enumerate(dense)))
         if violations:
             raise ImproperDistribution(
                 "; ".join(v.detail for v in violations)
             )
         self._set(space.variables, dense)
         object.__setattr__(self, "space", space)
+        object.__setattr__(self, "_units", units)
 
     def partial_mass(self, partial: Mapping[str, int]) -> Fraction:
         """Probability the context assigns to a partial assignment."""
@@ -513,11 +518,12 @@ def validate_kolmogorov(m: SignedMeasure) -> list[Violation]:
     K1: every atom mass in [0, 1].  K2: total mass 1.  Additivity holds by
     construction and is not re-checked.
     """
-    return _kolmogorov(m.space, m.support)
+    return _kolmogorov(m.space, m.support)[0]
 
 
-def _kolmogorov(space: SampleSpace, masses: Sequence) -> list[Violation]:
-    """validate_kolmogorov on (atom, mass) pairs, ascending by atom; the
+def _kolmogorov(space: SampleSpace, masses: Sequence) -> tuple:
+    """validate_kolmogorov on (atom, mass) pairs, ascending by atom, and
+    (lcm, the masses' numerators over it), which detect_bias reads; the
     sums are on ints, as a Fraction sum renormalizes at every step."""
     violations: list[Violation] = []
     for atom, value in masses:
@@ -531,11 +537,12 @@ def _kolmogorov(space: SampleSpace, masses: Sequence) -> list[Violation]:
                 )
             )
     den = lcm(*[value.denominator for _, value in masses])
-    num = sum([v.numerator * (den // v.denominator) for _, v in masses])
+    units = [v.numerator * (den // v.denominator) for _, v in masses]
+    num = sum(units)
     if num != den:
         total = Fraction(num, den)
         violations.append(Violation("K2", f"total mass is {total}, not 1"))
-    return violations
+    return violations, (den, units)
 
 
 def validate_upper(

@@ -58,9 +58,10 @@ from .measure import (
     SampleSpace,
     SignedMeasure,
     _Record,
+    _cylinder_event,
+    _mask_want,
     _subsets,
     as_fraction,
-    cylinder,
     event_mass,
     l1_norm,
 )
@@ -141,23 +142,36 @@ def assemble(
     context family).  The normalization row (full space equals 1) is the
     last input, so a caller's own full-space row meets the same rule.
     """
+    pairs = chain(constraints, [({}, 1)])
+    return _row_system(space, pairs, keep_contradictions, _mask_want)
+
+
+def _row_system(
+    space: SampleSpace, pairs: Iterable, keep: bool, read=None
+) -> ConstraintSystem:
+    """The one row builder, behind assemble and family_system: assemble's
+    rules on (item, value) pairs, normalization the last.  read(space,
+    item) is an item's (mask, want), else the item is one; it is read
+    after the value is checked.  Rows built here skip the public check."""
     rows: list[tuple[Event, Fraction]] = []
     seen: dict[object, int] = {}  # key -> index of its row in rows
-    for partial, raw in chain(constraints, [({}, 1)]):
+    for item, raw in pairs:
         value = as_fraction(raw)
         num, den = value.numerator, value.denominator
         if abs(num) > ASSEMBLE_VALUE_BOUND * den:
             raise ValueOutOfBounds(
                 f"constraint value {value} outside sanity bound"
             )
-        event = cylinder(space, partial)
-        key = (event.cylinder, (num, den) if keep_contradictions else None)
+        mask_want = item if read is None else read(space, item)
+        key = mask_want, (num, den) if keep else None
         i = seen.setdefault(key, len(rows))
         if i == len(rows):
-            rows.append((event, value))
+            rows.append((_cylinder_event(space, mask_want), value))
         elif rows[i][1] != value:
-            raise ContradictoryRows(event, rows[i][1], value)
-    return ConstraintSystem(space, tuple(rows))
+            raise ContradictoryRows(rows[i][0], rows[i][1], value)
+    cs = object.__new__(ConstraintSystem)
+    cs._set(space, tuple(rows))
+    return cs
 
 
 def rank_nullity(cs: ConstraintSystem) -> tuple[int, int]:
@@ -338,7 +352,7 @@ class _RevisedLP:
         self.n = self.cols.n
         self.elim = self.cols.elim
         self.ncols = 2 * self.n if split else self.n
-        self.flip = [-1 if value < 0 else 1 for _, value in cs.rows]
+        self.flip = [-1 if b.numerator < 0 else 1 for _, b in cs.rows]
         # a list, not a generator: see SignedMeasure.__init__
         self.scale_b = lcm(*[value.denominator for _, value in cs.rows])
         self.det = 1

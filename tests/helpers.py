@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from negprob import (
     ConstraintSystem,
     Context,
@@ -97,3 +99,40 @@ def ncycle(n: int) -> ContextFamily:
             )
         )
     return ContextFamily(names, tuple(contexts))
+
+
+@st.composite
+def families(draw):
+    """Marginals of one hidden joint on 2-5 variables, each context over a
+    drawn subset in a shuffled order; a drawn number of contexts then have
+    one unit of mass moved between two of their atoms, which biases the
+    family when the two atoms differ on a variable another context has."""
+    n = draw(st.integers(2, 5))
+    names = tuple(f"v{i}" for i in range(n))
+    weights = draw(st.lists(st.integers(0, 3), min_size=1 << n, max_size=1 << n))
+    weights[draw(st.integers(0, (1 << n) - 1))] += 1  # a positive total
+    total = sum(weights)
+    contexts = []
+    for _ in range(draw(st.integers(2, 4))):
+        order = draw(st.permutations(names))[: draw(st.integers(1, n))]
+        bits = [names.index(v) for v in order]
+        units = [0] * (1 << len(order))
+        for atom, w in enumerate(weights):
+            units[sum((atom >> b & 1) << k for k, b in enumerate(bits))] += w
+        if draw(st.booleans()):
+            source = draw(st.sampled_from([a for a, u in enumerate(units) if u]))
+            units[source] -= 1
+            units[draw(st.integers(0, len(units) - 1))] += 1
+        contexts.append(Context(order, [Fraction(u, total) for u in units]))
+    return ContextFamily(names, contexts)
+
+
+@st.composite
+def families_with_repeats(draw):
+    """families(), with up to two of its contexts repeated at drawn places."""
+    family = draw(families())
+    contexts = list(family.contexts)
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(contexts)))
+        contexts.insert(at, draw(st.sampled_from(family.contexts)))
+    return ContextFamily(family.global_variables, contexts)

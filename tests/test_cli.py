@@ -1,20 +1,36 @@
 """Command-line interface: exit codes, rendering, and scenario files."""
 
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import negprob
 import negprob.cli
 import negprob.contextuality
 import negprob.measure
-from negprob import ScenarioFormatError, family_mstar, tsirelson_box
+from negprob import (
+    ScenarioFormatError,
+    SolveStatus,
+    UndefinedConditional,
+    cylinder,
+    detect_bias,
+    family_mstar,
+    family_system,
+    feasible_proper,
+    minimize_l1,
+    rank_nullity,
+    signed_conditional,
+    tsirelson_box,
+)
 from negprob.cli import (
     family_to_scenario,
     parse_rational,
@@ -22,7 +38,7 @@ from negprob.cli import (
     scenario_from_data,
 )
 from negprob.measure import RATIONAL_MAX_CHARS
-from helpers import mz_family
+from helpers import families_with_repeats, mz_family
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -399,15 +415,16 @@ def test_builtin_document_may_leave_out_variables(tmp_path, capsys):
 
 
 def test_builtin_document_assembles_its_rows_once(tmp_path, monkeypatch):
-    """The "variables" check and the solve read one system."""
+    """The "variables" check and the solve read one system: the one row
+    builder runs once."""
     calls = []
-    assemble = negprob.contextuality.assemble
+    build = negprob.contextuality._row_system
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return assemble(*args, **kwargs)
+        return build(*args, **kwargs)
 
-    monkeypatch.setattr(negprob.contextuality, "assemble", counted)
+    monkeypatch.setattr(negprob.contextuality, "_row_system", counted)
     doc = {"builtin": {"name": "pr-box"}, "variables": ["A", "A2", "B", "B2"]}
     assert run(["solve", write_json(tmp_path, "builtin.json", doc)]) == 0
     assert len(calls) == 1
@@ -620,3 +637,203 @@ def test_float_signs_are_rejected(tmp_path, capsys):
         path = write_json(tmp_path, "float-sign.json", doc)
         assert run(["solve", path]) == 1
         assert "must be 1 or -1" in capsys.readouterr().err
+
+
+
+# -- literals read once per document ----------------------------------------
+
+NOT_A_LITERAL = (
+    'input error: expected a rational string like "1/2" or "-3", got '
+)
+OVERLONG = "1/" + "9" * (RATIONAL_MAX_CHARS - 1)
+
+
+def _x_rows(*values):
+    return [
+        {"event": {"X": sign}, "value": value}
+        for sign, value in zip((1, -1), values)
+    ]
+
+
+def _x_contexts(*tables):
+    return [{"variables": ["X"], "distribution": table} for table in tables]
+
+
+@pytest.mark.parametrize(
+    "doc, err",
+    [
+        # a bad literal repeated, in rows and in contexts
+        (
+            {"variables": ["X"], "constraints": _x_rows("0.5", "0.5")},
+            NOT_A_LITERAL + "'0.5'",
+        ),
+        (
+            {
+                "variables": ["X"],
+                "contexts": _x_contexts(
+                    {"+": "1/2", "-": "half"}, {"+": "half", "-": "1/2"}
+                ),
+            },
+            NOT_A_LITERAL + "'half'",
+        ),
+        # a JSON number, or true, where an equal string was read earlier
+        (
+            {"variables": ["X"], "constraints": _x_rows("1", 1)},
+            NOT_A_LITERAL + "1",
+        ),
+        (
+            {
+                "variables": ["X"],
+                "contexts": _x_contexts(
+                    {"+": "1", "-": "0"}, {"+": 1, "-": "0"}
+                ),
+            },
+            NOT_A_LITERAL + "1",
+        ),
+        (
+            {
+                "variables": ["X"],
+                "contexts": _x_contexts(
+                    {"+": "1", "-": "0"}, {"+": True, "-": "0"}
+                ),
+            },
+            NOT_A_LITERAL + "True",
+        ),
+        # over the character bound, repeated, and as a builtin parameter
+        (
+            {"variables": ["X"], "constraints": _x_rows(OVERLONG, OVERLONG)},
+            "input error: rational literal of 101 characters is longer "
+            "than the limit of 100",
+        ),
+        (
+            {"builtin": {"name": "mz-detuned", "params": {"eps": OVERLONG}}},
+            "input error: rational literal of 101 characters is longer "
+            "than the limit of 100",
+        ),
+    ],
+)
+def test_literals_read_once_per_document_keep_every_refusal(
+    tmp_path, capsys, doc, err
+):
+    """Each distinct literal string of a document is parsed once; every
+    refusal keeps its message and exit code 1."""
+    path = write_json(tmp_path, "doc.json", doc)
+    for command in ("solve", "viable"):
+        assert run([command, path]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", err + "\n")
+
+
+def test_a_repeated_literal_is_parsed_once(tmp_path, monkeypatch):
+    parsed = []
+    as_fraction = negprob.cli.as_fraction
+
+    def counted(text):
+        parsed.append(text)
+        return as_fraction(text)
+
+    monkeypatch.setattr(negprob.cli, "as_fraction", counted)
+    doc = {
+        "variables": ["X"],
+        "contexts": _x_contexts(
+            {"+": "1/2", "-": "1/2"}, {"+": "1/2", "-": " 1/2"}
+        ),
+    }
+    assert run(["solve", write_json(tmp_path, "doc.json", doc)]) == 0
+    assert parsed == ["1/2", " 1/2"]
+
+
+# -- the bias-first verdict equals the simplex route --------------------------
+
+
+def _cli_json(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run([*argv, "--format", "json"])
+    assert err.getvalue() == ""
+    return code, json.loads(out.getvalue())
+
+
+def _labels(measure):
+    if measure is None:
+        return None
+    return {measure.space.atom_label(a): str(m) for a, m in measure.support}
+
+
+@settings(max_examples=150, deadline=None)
+@given(families_with_repeats())
+def test_bias_first_verdicts_equal_the_simplex_route(family):
+    """solve, viable and condition report what minimize_l1 and
+    feasible_proper say of the family's rows, though a biased family
+    reaches neither."""
+    system = family_system(family)
+    result, proper = minimize_l1(system), feasible_proper(system)
+    bias = detect_bias(family)
+    event("biased" if bias else "unbiased")
+    if bias is not None:
+        assert result.status is SolveStatus.INFEASIBLE
+        assert rank_nullity(system) == (result.rank, result.nullity)
+    names = list(family.global_variables)
+    empty = dict.fromkeys(
+        "status mstar rank nullity witness viable bias conditional".split()
+    )
+    solved = {
+        "label": None,
+        "variables": names,
+        **empty,
+        "status": result.status.value,
+        "mstar": None if result.mstar is None else str(result.mstar),
+        "rank": result.rank,
+        "nullity": result.nullity,
+    }
+    target, given_ = {names[0]: 1}, {names[-1]: -1}
+    if result.witness is None:
+        conditional = None
+    else:
+        entry = {"target": target, "given": given_, "defined": True}
+        try:
+            value = signed_conditional(
+                result.witness,
+                cylinder(system.space, target),
+                cylinder(system.space, given_),
+            )
+            entry.update(value=str(value), proper_range=0 <= value <= 1)
+        except UndefinedConditional:
+            entry.update(defined=False, value=None, proper_range=None)
+        conditional = entry
+    bias_entry = None if bias is None else {
+        "event": dict(bias.event),
+        "context_i": bias.context_i,
+        "context_j": bias.context_j,
+        "value_i": str(bias.value_i),
+        "value_j": str(bias.value_j),
+    }
+    infeasible = 2 if result.status is SolveStatus.INFEASIBLE else 0
+    with tempfile.TemporaryDirectory() as directory:
+        path = str(Path(directory) / "family.json")
+        Path(path).write_text(json.dumps(family_to_scenario(family)))
+        assert _cli_json(["solve", path]) == (
+            infeasible,
+            {
+                "command": "solve",
+                **solved,
+                "witness": _labels(result.witness),
+                "bias": bias_entry,
+            },
+        )
+        assert _cli_json(["viable", path]) == (
+            0 if proper is not None else 2,
+            {
+                "command": "viable",
+                "label": None,
+                "variables": names,
+                **empty,
+                "viable": proper is not None,
+                "witness": _labels(proper),
+            },
+        )
+        flags = ["--target", f"{names[0]}=1", "--given", f"{names[-1]}=-1"]
+        assert _cli_json(["condition", path, *flags]) == (
+            infeasible,
+            {"command": "condition", **solved, "conditional": conditional},
+        )

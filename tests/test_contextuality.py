@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import event, given, settings
-from hypothesis import strategies as st
 
 from negprob import (
     BiasWitness,
@@ -28,7 +27,12 @@ from negprob import (
     mach_zehnder_case,
     tsirelson_box,
 )
-from helpers import mz_family, random_pair_context
+from helpers import (
+    families,
+    families_with_repeats,
+    mz_family,
+    random_pair_context,
+)
 
 HALF = Fraction(1, 2)
 
@@ -161,32 +165,6 @@ def reference_bias(family):
     return None
 
 
-@st.composite
-def families(draw):
-    """Marginals of one hidden joint on 2-5 variables, each context over a
-    drawn subset in a shuffled order; a drawn number of contexts then have
-    one unit of mass moved between two of their atoms, which biases the
-    family when the two atoms differ on a variable another context has."""
-    n = draw(st.integers(2, 5))
-    names = tuple(f"v{i}" for i in range(n))
-    weights = draw(st.lists(st.integers(0, 3), min_size=1 << n, max_size=1 << n))
-    weights[draw(st.integers(0, (1 << n) - 1))] += 1  # a positive total
-    total = sum(weights)
-    contexts = []
-    for _ in range(draw(st.integers(2, 4))):
-        order = draw(st.permutations(names))[: draw(st.integers(1, n))]
-        bits = [names.index(v) for v in order]
-        units = [0] * (1 << len(order))
-        for atom, w in enumerate(weights):
-            units[sum((atom >> b & 1) << k for k, b in enumerate(bits))] += w
-        if draw(st.booleans()):
-            source = draw(st.sampled_from([a for a, u in enumerate(units) if u]))
-            units[source] -= 1
-            units[draw(st.integers(0, len(units) - 1))] += 1
-        contexts.append(Context(order, [Fraction(u, total) for u in units]))
-    return ContextFamily(names, contexts)
-
-
 @settings(max_examples=300, deadline=None)
 @given(families())
 def test_detect_bias_matches_the_partial_mass_scan(family):
@@ -261,6 +239,24 @@ def test_family_system_rows_match_per_atom_rows(family):
     expected = per_atom_rows(family)
     assert system.space == expected.space
     assert row_keys(system) == row_keys(expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(families_with_repeats())
+def test_family_system_is_assemble_row_for_row(family):
+    """family_system and assemble share one row builder: the same rows in
+    the same order, repeated contexts dropped as exact duplicates."""
+    rows = []
+    for context in family.contexts:
+        names = context.variables
+        for atom, value in enumerate(context.distribution):
+            signs = [1 if atom >> i & 1 else -1 for i in range(len(names))]
+            rows.append((dict(zip(names, signs)), value))
+    expected = assemble(family._space, rows, keep_contradictions=True)
+    system = family_system(family)
+    assert system == expected
+    assert row_keys(system) == row_keys(expected)
+    assert all(type(value) is Fraction for _, value in system.rows)
 
 
 def test_builtin_family_rows_match_per_atom_rows():

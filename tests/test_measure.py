@@ -605,6 +605,18 @@ def test_as_fraction_coerces_refuses_and_does_not_copy():
         as_fraction(at_bound + "9")
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["\u0663/4", "3/1\u0664", "3/\u0664", "-\u0663", "\uff11/2", "1/2\uff12"],
+)
+def test_literal_digits_are_ascii(text):
+    """A digit of another script is refused wherever it stands, though int
+    reads it: Arabic-Indic 3 and 4 and fullwidth 1 and 2 here."""
+    assert int("".join(c for c in text if c.isdigit())) > 0
+    with pytest.raises(ScenarioFormatError, match="rational string"):
+        as_fraction(text)
+
+
 def test_space_needs_a_variable():
     with pytest.raises(InvalidName, match="at least one variable"):
         build_space([])
