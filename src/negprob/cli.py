@@ -35,7 +35,9 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Mapping, Sequence
 
-from .contextuality import BiasWitness, ContextFamily, detect_bias
+from .contextuality import (
+    BiasWitness, ContextFamily, _family_rank, detect_bias
+)
 from .errors import (
     InvalidAssignment,
     NegprobError,
@@ -63,7 +65,6 @@ from .solver import (
     assemble,
     feasible_proper,
     minimize_l1,
-    rank_nullity,
 )
 
 def parse_rational(text: object, parse=as_fraction) -> Fraction:
@@ -277,20 +278,24 @@ def _render(report: dict, fmt: str) -> str:
 # --- subcommand handlers ----------------------------------------------------
 
 
+def _space(bundle: ScenarioBundle):
+    """The bundle's sample space; a contexts family's builds no rows."""
+    if bundle.kind == "contexts":
+        return bundle.payload._space
+    return bundle.system.space
+
+
 def _solve_report(command: str, bundle: ScenarioBundle) -> tuple:
-    """Solve the bundle; a report with status, M*, rank and nullity, the
-    result, and the bias of a contexts bundle, found first: a biased
-    family has no signed joint, so only its rank is computed."""
-    system = bundle.system
+    """Solve the bundle: a report, the result, and a contexts bundle's bias,
+    found first; a biased family gets its closed-form rank and no rows."""
     bias = detect_bias(bundle.payload) if bundle.kind == "contexts" else None
-    result = minimize_l1(system) if bias is None else SolveResult(
-        SolveStatus.INFEASIBLE, None, None, *rank_nullity(system)
+    result = minimize_l1(bundle.system) if bias is None else SolveResult(
+        SolveStatus.INFEASIBLE, None, None, *_family_rank(bundle.payload)
     )
-    report = _empty_report(command, bundle.label, system.space.variables)
+    report = _empty_report(command, bundle.label, _space(bundle).variables)
     report["status"] = result.status.value
     report["mstar"] = None if result.mstar is None else str(result.mstar)
-    report["rank"] = result.rank
-    report["nullity"] = result.nullity
+    report["rank"], report["nullity"] = result.rank, result.nullity
     return report, result, bias
 
 
@@ -305,8 +310,7 @@ def _cmd_viable(bundle: ScenarioBundle) -> tuple[dict, int]:
     """A biased family is NOT VIABLE before its rows are built."""
     biased = bundle.kind == "contexts" and detect_bias(bundle.payload)
     witness = None if biased else feasible_proper(bundle.system)
-    space = bundle.payload._space if biased else bundle.system.space
-    report = _empty_report("viable", bundle.label, space.variables)
+    report = _empty_report("viable", bundle.label, _space(bundle).variables)
     report["viable"] = witness is not None
     report["witness"] = _label_table(witness)
     return report, 0 if witness is not None else 2
@@ -317,10 +321,8 @@ def _cmd_bias(bundle: ScenarioBundle) -> tuple[dict, int]:
         raise ScenarioFormatError(
             "bias analysis needs a scenario with contexts"
         )
-    family: ContextFamily = bundle.payload  # type: ignore[assignment]
-    witness = detect_bias(family)
-    report = _empty_report("bias", bundle.label, family.global_variables)
-    report["bias"] = _bias_entry(witness)
+    report = _empty_report("bias", bundle.label, _space(bundle).variables)
+    report["bias"] = _bias_entry(detect_bias(bundle.payload))
     return report, 0
 
 
@@ -350,7 +352,7 @@ def _cmd_condition(args: argparse.Namespace) -> tuple[dict, int]:
     bundle = _load_bundle(args.file)
     target = _parse_assignment_flag(args.target, "--target")
     given = _parse_assignment_flag(args.given, "--given")
-    space = bundle.system.space  # an unknown name is refused before a solve
+    space = _space(bundle)  # an unknown name is refused before a solve
     events = cylinder(space, target), cylinder(space, given)
     report, result, _ = _solve_report("condition", bundle)
     if result.witness is None:

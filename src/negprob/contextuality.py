@@ -73,21 +73,30 @@ def _shared_table(ctx: Context, shared: tuple[str, ...], den: int) -> list:
     return [t * (den // own) for t in table]
 
 
+def _superset_sums(table: list) -> list:
+    """Entry s of the result sums the table over the supersets of s."""
+    for b in [1 << k for k in range(len(table).bit_length() - 1)]:
+        table = [t if s & b else t + table[s | b] for s, t in enumerate(table)]
+    return table
+
+
 def detect_bias(family: ContextFamily) -> BiasWitness | None:
     """First disagreement between any two contexts on a shared event.
 
-    Scan order is deterministic: context pairs by index, then subsets of
-    the shared variables (earlier variables first), then assignments with
-    +1 before -1, the last variable varying fastest.  All nonempty
-    sub-assignments are compared, not only full ones, since any shared
-    event can disagree.  Returns None exactly when every pair of contexts
-    agrees on all shared events.
-
-    Each context of a pair is read once, into its table over the shared
-    variables, of integers over the lcm of the two contexts' denominators;
-    a subset then sums only the entries where the tables differ.
+    Context pairs go by index, repeats of a context skipped: a biased pair
+    holding one follows its pair of first occurrences.  The event is all
+    +1 on the first nonzero subset of the shared variables, in integer
+    order with earlier variables the lower bits, that the pair prices
+    apart; its proper subsets agree, so by Mobius inversion each of its
+    assignments differs, and a scan with +1 before -1 finds it first.
+    None exactly when all pairs agree on all shared events.  A context is
+    read once per pair, into integers over the pair's lcm denominator on
+    the shared variables; only tables that differ get superset sums.
     """
-    for i, j in itertools.combinations(range(len(family.contexts)), 2):
+    first: dict = {}  # keyed on integers: hashing the Fractions is slower
+    for i, ctx in enumerate(family.contexts):
+        first.setdefault((ctx.variables, ctx._units[0], *ctx._units[1]), i)
+    for i, j in itertools.combinations(list(first.values()), 2):
         ctx_i, ctx_j = family.contexts[i], family.contexts[j]
         both = set(ctx_i.variables).intersection(ctx_j.variables)
         if not both:
@@ -96,25 +105,25 @@ def detect_bias(family: ContextFamily) -> BiasWitness | None:
         den = lcm(ctx_i._units[0], ctx_j._units[0])
         table_i = _shared_table(ctx_i, shared, den)
         table_j = _shared_table(ctx_j, shared, den)
-        pairs = enumerate(zip(table_i, table_j))
-        diff = [(s, p - q) for s, (p, q) in pairs if p != q]
-        for mask in range(1, 1 << len(shared)) if diff else ():
-            gaps: dict[int, int] = {}
-            for s, d in diff:
-                gaps[s & mask] = gaps.get(s & mask, 0) + d
-            if not any(gaps.values()):
-                continue
-            ks = [k for k in range(len(shared)) if mask >> k & 1]
-            for signs in itertools.product((+1, -1), repeat=len(ks)):
-                want = sum([1 << k for k, sign in zip(ks, signs) if sign > 0])
-                gap = gaps.get(want)  # (value_i - value_j) * den
-                if gap:
-                    entries = enumerate(table_i)
-                    num = sum([p for s, p in entries if s & mask == want])
-                    event = tuple(zip([shared[k] for k in ks], signs))
-                    values = Fraction(num, den), Fraction(num - gap, den)
-                    return BiasWitness(event, i, j, *values)
+        if table_i == table_j:
+            continue
+        sums_i, sums_j = _superset_sums(table_i), _superset_sums(table_j)
+        mask = next(s for s, p in enumerate(sums_i) if p != sums_j[s])
+        event = [(v, 1) for k, v in enumerate(shared) if mask >> k & 1]
+        values = Fraction(sums_i[mask], den), Fraction(sums_j[mask], den)
+        return BiasWitness(tuple(event), i, j, *values)
     return None
+
+
+def _family_rank(family: ContextFamily) -> tuple[int, int]:
+    """Rank and nullity of family_system's rows, none built: a context's
+    atom rows span the all +1 cylinders of its variable subsets (Mobius
+    inversion), independent across subsets (triangular in the monomials),
+    so the rank counts the subsets in some context, the empty one too."""
+    position = family._space.position
+    subsets = {s for names in {c.variables for c in family.contexts}
+               for s in _spread([1 << position(v) for v in names])}
+    return len(subsets), family._space.atom_count - len(subsets)
 
 
 def family_system(family: ContextFamily) -> ConstraintSystem:
@@ -124,8 +133,7 @@ def family_system(family: ContextFamily) -> ConstraintSystem:
     they constrain too), read off the global bit positions of the
     context's variables, plus normalization.  Exact duplicate rows are
     dropped.  Rows that pin the same event to different values are kept:
-    they make the system infeasible, which is the correct verdict for a
-    biased family, so no contradiction check happens here.
+    they make the system infeasible, the verdict for a biased family.
     """
     rows = []
     for context in family.contexts:
@@ -156,12 +164,8 @@ def _pair_context(family: ContextFamily, x: str, y: str) -> Context:
 
 def _correlation(context: Context, x: str, y: str) -> Fraction:
     mass = context.partial_mass
-    return (
-        mass({x: +1, y: +1})
-        + mass({x: -1, y: -1})
-        - mass({x: +1, y: -1})
-        - mass({x: -1, y: +1})
-    )
+    signs = (1, 1), (-1, -1), (1, -1), (-1, 1)
+    return sum([s * t * mass({x: s, y: t}) for s, t in signs], Fraction(0))
 
 
 def chsh_s(
@@ -172,16 +176,9 @@ def chsh_s(
     S is the largest absolute value of the four signed combinations of
     the pair correlations that put a minus sign on exactly one term.
     """
-    e_ab = _correlation(_pair_context(family, a, b), a, b)
-    e_ab2 = _correlation(_pair_context(family, a, b2), a, b2)
-    e_a2b = _correlation(_pair_context(family, a2, b), a2, b)
-    e_a2b2 = _correlation(_pair_context(family, a2, b2), a2, b2)
-    return max(
-        abs(e_ab + e_ab2 + e_a2b - e_a2b2),
-        abs(e_ab + e_ab2 - e_a2b + e_a2b2),
-        abs(e_ab - e_ab2 + e_a2b + e_a2b2),
-        abs(-e_ab + e_ab2 + e_a2b + e_a2b2),
-    )
+    pairs = (a, b), (a, b2), (a2, b), (a2, b2)
+    es = [_correlation(_pair_context(family, x, y), x, y) for x, y in pairs]
+    return max([abs(sum(es) - 2 * e) for e in es])
 
 
 def check_mstar_s_relation(

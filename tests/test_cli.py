@@ -17,6 +17,7 @@ import negprob
 import negprob.cli
 import negprob.contextuality
 import negprob.measure
+import negprob.solver
 from negprob import (
     ScenarioFormatError,
     SolveStatus,
@@ -561,7 +562,7 @@ def test_long_variable_list_is_refused_at_once(tmp_path):
     src = str(Path(negprob.__file__).resolve().parent.parent)
     done = subprocess.run(
         [sys.executable, "-m", "negprob.cli", "solve", path],
-        env={"PYTHONPATH": src},
+        env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
         capture_output=True,
         text=True,
         timeout=10,
@@ -837,3 +838,36 @@ def test_bias_first_verdicts_equal_the_simplex_route(family):
             infeasible,
             {"command": "condition", **solved, "conditional": conditional},
         )
+
+
+def test_biased_solve_and_condition_build_no_rows(
+    tmp_path, monkeypatch, capsys
+):
+    """A biased family's verdict and its closed-form rank and nullity need
+    no row and no LP; an unknown name is still refused before a solve."""
+    family = mz_family(5, 6)
+    path = family_file(tmp_path, "biased.json", family)
+    rank, nullity = rank_nullity(family_system(family))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a biased family built rows or an LP")
+
+    monkeypatch.setattr(negprob.solver, "_row_system", refuse)
+    monkeypatch.setattr(negprob.contextuality, "_row_system", refuse)
+    monkeypatch.setattr(negprob.solver, "_RevisedLP", refuse)
+    code, report = _cli_json(["solve", path])
+    assert code == 2
+    assert report["status"] == "Infeasible"
+    assert (report["rank"], report["nullity"]) == (rank, nullity)
+    assert report["bias"] is not None
+    flags = ["--target", "Da=1", "--given", "D1=1"]
+    code, report = _cli_json(["condition", path, *flags])
+    assert code == 2
+    assert report["status"] == "Infeasible"
+    assert (report["rank"], report["nullity"]) == (rank, nullity)
+    assert report["conditional"] is None
+    flags = ["--target", "Da=1", "--given", "Q=1"]
+    assert run(["condition", path, *flags]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("input error: variable 'Q' not in space")

@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
+import negprob.contextuality
 from negprob import (
     BiasWitness,
     Context,
@@ -25,8 +27,10 @@ from negprob import (
     family_system,
     leggett_garg_chain,
     mach_zehnder_case,
+    rank_nullity,
     tsirelson_box,
 )
+from negprob.contextuality import _family_rank
 from helpers import (
     families,
     families_with_repeats,
@@ -202,7 +206,77 @@ def test_wide_contexts_are_read_as_tables(monkeypatch):
     )
 
 
+def test_a_bias_in_the_full_parity_alone_is_found():
+    """Two 12-variable contexts that agree on every marginal of 11 or
+    fewer variables: the witness is the all +1 event on all twelve, the
+    last subset in scan order."""
+    names = tuple(f"v{i}" for i in range(12))
+    odd = [Fraction(2 * (a.bit_count() % 2), 4096) for a in range(4096)]
+    flat = Context(names, [Fraction(1, 4096)] * 4096)
+    family = ContextFamily(names, (flat, Context(names, odd)))
+    assert detect_bias(family) == BiasWitness(
+        tuple((v, 1) for v in names), 0, 1, Fraction(1, 4096), Fraction(0)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(families_with_repeats())
+def test_bias_witness_events_are_all_plus(family):
+    """The first event two contexts price apart has every sign +1: the
+    proper subsets of its variables agree, so by Mobius inversion each
+    assignment of them differs, the all +1 one included.  Skipping the
+    repeated contexts leaves the full scan's witness."""
+    witness = detect_bias(family)
+    event("biased" if witness else "unbiased")
+    assert witness == reference_bias(family)
+    if witness is not None:
+        assert witness.event
+        assert all(sign == 1 for _, sign in witness.event)
+
+
+@pytest.mark.parametrize("at", [1000, 500, 1])
+def test_repeated_contexts_are_paired_once(monkeypatch, at):
+    """1,000 equal contexts and one that disagrees, inserted at index at:
+    two tables are read, and the witness is the full scan's."""
+    contexts = [Context(("X",), (HALF, HALF)) for _ in range(1000)]
+    contexts.insert(at, Context(("X",), (Fraction(1, 4), Fraction(3, 4))))
+    family = ContextFamily(("X",), contexts)
+    calls = []
+    read = negprob.contextuality._shared_table
+
+    def counted(*args):
+        calls.append(args)
+        return read(*args)
+
+    monkeypatch.setattr(negprob.contextuality, "_shared_table", counted)
+    witness = detect_bias(family)
+    assert len(calls) == 2
+    assert (witness.context_i, witness.context_j) == (0, at)
+    assert witness == reference_bias(family)
+
+
 # -- family systems ----------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(families(), families_with_repeats()))
+def test_family_rank_is_the_rank_of_the_rows(family):
+    """One independent all +1 cylinder per variable subset inside some
+    context, the empty subset being normalization."""
+    event("biased" if detect_bias(family) else "unbiased")
+    assert _family_rank(family) == rank_nullity(family_system(family))
+
+
+def test_family_rank_of_wide_families():
+    """Two 12-variable contexts: on the same variables every full
+    assignment is a row; sharing 11, the two down-sets overlap in 2^11."""
+    names = tuple(f"v{i}" for i in range(13))
+    uniform = Context(names[:12], [Fraction(1, 4096)] * 4096)
+    shifted = Context(names[1:], [Fraction(1, 4096)] * 4096)
+    same = ContextFamily(names[:12], (uniform, uniform))
+    overlap = ContextFamily(names, (uniform, shifted))
+    assert _family_rank(same) == (4096, 0)
+    assert _family_rank(overlap) == (6144, 2048)
 
 
 def test_family_system_deduplicates_repeated_contexts():

@@ -207,7 +207,7 @@ def test_importing_the_cli_loads_no_dataclasses():
     )
     out = subprocess.run(
         [sys.executable, "-c", probe],
-        env={"PYTHONPATH": src},
+        env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
         capture_output=True,
         text=True,
         check=True,
