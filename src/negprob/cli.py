@@ -155,7 +155,7 @@ def scenario_from_data(data: object, label: str) -> ScenarioBundle:
     params = {str(k): read(v) for k, v in params_data.items()}
     bundle = builtin_bundle(entry["name"], params)
     if variables is not None:
-        expected = list(bundle.system.space.variables)
+        expected = list(bundle.payload.space.variables)
         if variables != expected:
             raise ScenarioFormatError(
                 f"builtin {entry['name']!r} has \"variables\" {expected}, "
@@ -200,9 +200,10 @@ def _bias_entry(witness: BiasWitness | None) -> dict | None:
     }
 
 
-def _empty_report(command: str, label: str | None, variables) -> dict:
+def _empty_report(command: str, bundle: ScenarioBundle) -> dict:
     fields = "status mstar rank nullity witness viable bias conditional"
-    report = {"command": command, "label": label, "variables": list(variables)}
+    report = {"command": command, "label": bundle.label}
+    report["variables"] = list(bundle.payload.space.variables)
     return report | dict.fromkeys(fields.split())
 
 
@@ -278,13 +279,6 @@ def _render(report: dict, fmt: str) -> str:
 # --- subcommand handlers ----------------------------------------------------
 
 
-def _space(bundle: ScenarioBundle):
-    """The bundle's sample space; a contexts family's builds no rows."""
-    if bundle.kind == "contexts":
-        return bundle.payload._space
-    return bundle.system.space
-
-
 def _solve_report(command: str, bundle: ScenarioBundle) -> tuple:
     """Solve the bundle: a report, the result, and a contexts bundle's bias,
     found first; a biased family gets its closed-form rank and no rows."""
@@ -292,7 +286,7 @@ def _solve_report(command: str, bundle: ScenarioBundle) -> tuple:
     result = minimize_l1(bundle.system) if bias is None else SolveResult(
         SolveStatus.INFEASIBLE, None, None, *_family_rank(bundle.payload)
     )
-    report = _empty_report(command, bundle.label, _space(bundle).variables)
+    report = _empty_report(command, bundle)
     report["status"] = result.status.value
     report["mstar"] = None if result.mstar is None else str(result.mstar)
     report["rank"], report["nullity"] = result.rank, result.nullity
@@ -310,7 +304,7 @@ def _cmd_viable(bundle: ScenarioBundle) -> tuple[dict, int]:
     """A biased family is NOT VIABLE before its rows are built."""
     biased = bundle.kind == "contexts" and detect_bias(bundle.payload)
     witness = None if biased else feasible_proper(bundle.system)
-    report = _empty_report("viable", bundle.label, _space(bundle).variables)
+    report = _empty_report("viable", bundle)
     report["viable"] = witness is not None
     report["witness"] = _label_table(witness)
     return report, 0 if witness is not None else 2
@@ -321,7 +315,7 @@ def _cmd_bias(bundle: ScenarioBundle) -> tuple[dict, int]:
         raise ScenarioFormatError(
             "bias analysis needs a scenario with contexts"
         )
-    report = _empty_report("bias", bundle.label, _space(bundle).variables)
+    report = _empty_report("bias", bundle)
     report["bias"] = _bias_entry(detect_bias(bundle.payload))
     return report, 0
 
@@ -352,7 +346,7 @@ def _cmd_condition(args: argparse.Namespace) -> tuple[dict, int]:
     bundle = _load_bundle(args.file)
     target = _parse_assignment_flag(args.target, "--target")
     given = _parse_assignment_flag(args.given, "--given")
-    space = _space(bundle)  # an unknown name is refused before a solve
+    space = bundle.payload.space  # an unknown name is refused before a solve
     events = cylinder(space, target), cylinder(space, given)
     report, result, _ = _solve_report("condition", bundle)
     if result.witness is None:

@@ -22,7 +22,8 @@ from .solver import ConstraintSystem, SolveResult, _row_system, minimize_l1
 
 
 class ContextFamily(_Record):
-    """Global variable list plus contexts over subsets of it."""
+    """Global variable list plus contexts over subsets of it.  space and
+    _bits, each context's global bits in its variable order, are not fields."""
 
     global_variables: tuple[str, ...]
     contexts: tuple[Context, ...]
@@ -30,10 +31,12 @@ class ContextFamily(_Record):
     def __init__(self, global_variables, contexts) -> None:
         self._set(tuple(global_variables), tuple(contexts))
         space = build_space(self.global_variables)  # validates names, count
-        for context in self.contexts:
-            for name in context.variables:
-                space.position(name)  # raises UnknownVariable for strangers
-        object.__setattr__(self, "_space", space)  # not a field
+        bits = tuple([  # position raises UnknownVariable for strangers
+            tuple([1 << space.position(v) for v in context.variables])
+            for context in self.contexts
+        ])
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "_bits", bits)
 
 
 class BiasWitness(_Record):
@@ -53,7 +56,7 @@ class BiasWitness(_Record):
         self._set(event, context_i, context_j, value_i, value_j)
 
 
-def _spread(bits: list[int]) -> list[int]:
+def _spread(bits: tuple[int, ...] | list[int]) -> list[int]:
     """Per atom of a context, the OR of bits[i] over its +1 variables i."""
     entry = [0]
     for bit in bits:
@@ -61,14 +64,15 @@ def _spread(bits: list[int]) -> list[int]:
     return entry
 
 
-def _shared_table(ctx: Context, shared: tuple[str, ...], den: int) -> list:
-    """The context's masses summed onto the assignments of shared, in one
-    pass, as integers over den: entry s has shared[k] = +1 exactly when
-    bit k of s is set."""
+def _shared_table(ctx: Context, bits: tuple, shared: int, den: int) -> list:
+    """The context's masses, its global bits being bits, summed in one pass
+    onto the assignments of shared's global bits, as integers over den:
+    entry s has the k-th lowest of them +1 exactly when bit k of s is set."""
     own, units = ctx._units
-    table = [0] * (1 << len(shared))
-    bits = [1 << shared.index(v) if v in shared else 0 for v in ctx.variables]
-    for s, p in zip(_spread(bits), units):
+    table = [0] * (1 << shared.bit_count())
+    local = [1 << (shared & (b - 1)).bit_count() if b & shared else 0
+             for b in bits]
+    for s, p in zip(_spread(local), units):
         table[s] += p
     return [t * (den // own) for t in table]
 
@@ -97,19 +101,21 @@ def detect_bias(family: ContextFamily) -> BiasWitness | None:
     for i, ctx in enumerate(family.contexts):
         first.setdefault((ctx.variables, ctx._units[0], *ctx._units[1]), i)
     for i, j in itertools.combinations(list(first.values()), 2):
-        ctx_i, ctx_j = family.contexts[i], family.contexts[j]
-        both = set(ctx_i.variables).intersection(ctx_j.variables)
-        if not both:
+        bits_i, bits_j = family._bits[i], family._bits[j]
+        shared = sum(bits_i) & sum(bits_j)
+        if not shared:
             continue
-        shared = tuple([v for v in family.global_variables if v in both])
+        ctx_i, ctx_j = family.contexts[i], family.contexts[j]
         den = lcm(ctx_i._units[0], ctx_j._units[0])
-        table_i = _shared_table(ctx_i, shared, den)
-        table_j = _shared_table(ctx_j, shared, den)
+        table_i = _shared_table(ctx_i, bits_i, shared, den)
+        table_j = _shared_table(ctx_j, bits_j, shared, den)
         if table_i == table_j:
             continue
         sums_i, sums_j = _superset_sums(table_i), _superset_sums(table_j)
         mask = next(s for s, p in enumerate(sums_i) if p != sums_j[s])
-        event = [(v, 1) for k, v in enumerate(shared) if mask >> k & 1]
+        names = [v for k, v in enumerate(family.global_variables)
+                 if shared >> k & 1]
+        event = [(v, 1) for k, v in enumerate(names) if mask >> k & 1]
         values = Fraction(sums_i[mask], den), Fraction(sums_j[mask], den)
         return BiasWitness(tuple(event), i, j, *values)
     return None
@@ -120,10 +126,8 @@ def _family_rank(family: ContextFamily) -> tuple[int, int]:
     atom rows span the all +1 cylinders of its variable subsets (Mobius
     inversion), independent across subsets (triangular in the monomials),
     so the rank counts the subsets in some context, the empty one too."""
-    position = family._space.position
-    subsets = {s for names in {c.variables for c in family.contexts}
-               for s in _spread([1 << position(v) for v in names])}
-    return len(subsets), family._space.atom_count - len(subsets)
+    subsets = {s for bits in set(family._bits) for s in _spread(bits)}
+    return len(subsets), family.space.atom_count - len(subsets)
 
 
 def family_system(family: ContextFamily) -> ConstraintSystem:
@@ -136,12 +140,11 @@ def family_system(family: ContextFamily) -> ConstraintSystem:
     they make the system infeasible, the verdict for a biased family.
     """
     rows = []
-    for context in family.contexts:
-        bits = [1 << family._space.position(v) for v in context.variables]
+    for bits, context in zip(family._bits, family.contexts):
         mask, wants = sum(bits), _spread(bits)
         rows += [((mask, w), p) for w, p in zip(wants, context.distribution)]
     rows.append(((0, 0), 1))
-    return _row_system(family._space, rows, keep=True)
+    return _row_system(family.space, rows, keep=True)
 
 
 def family_mstar(family: ContextFamily) -> SolveResult:

@@ -111,13 +111,6 @@ class _Record:
             return self._key == other._key
         return NotImplemented
 
-    def __ne__(self, other: object) -> bool:
-        # spaces are compared with != on hot paths; object's __ne__ would
-        # dispatch to __eq__ a second time
-        if other.__class__ is self.__class__:
-            return self._key != other._key
-        return NotImplemented
-
     def __hash__(self) -> int:
         return hash(self._key)
 

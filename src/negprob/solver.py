@@ -301,15 +301,10 @@ class _Columns:
         ]
         # the pieces are disjoint, so this is the rows' total atom count
         scan = sum([1 << (nvars - m.bit_count()) for _, m, _ in self.pieces])
-        self.elim: _Elimination | None = None
-        # the table count is at least 2 per variable; below that bound,
-        # building an _Elimination only to discard it would slow small
-        # solves measurably
-        if scan > SCAN_PER_TABLE * 2 * nvars:
-            elim = _Elimination(self.pieces, nvars)
-            if scan > SCAN_PER_TABLE * elim.table_count:
-                elim.build_plan()
-                self.elim = elim
+        elim = _Elimination(self.pieces, nvars)
+        self.elim = elim if scan > SCAN_PER_TABLE * elim.table_count else None
+        if self.elim is not None:
+            elim.build_plan()
         self.probes: list[tuple[int, itemgetter]] | None = None
         self.gathers: dict[int, itemgetter] = {}
         if self.elim is None:
@@ -382,11 +377,8 @@ class _RevisedLP:
         costs the real columns 1 and prices no artificial.  Atom a's price
         w(a) is the sum over its rows of big_y = det * c_B B^-1, the column
         sums of the costed adj rows, against the cost times det: the plus
-        half enters on w > cost, the minus half on w < -cost.  big_y is 0
-        only when no row is costed, and then nothing enters.
+        half enters on w > cost, the minus half on w < -cost.
         """
-        if not any(big_y):
-            return -1
         cost = 0 if phase1 else self.det
         if self.elim is not None:
             atom = self.elim.lowest(big_y, cost)

@@ -136,3 +136,23 @@ def families_with_repeats(draw):
         at = draw(st.integers(0, len(contexts)))
         contexts.insert(at, draw(st.sampled_from(family.contexts)))
     return ContextFamily(family.global_variables, contexts)
+
+
+def wide_contexts_document(shift: int = 0, moved: bool = True) -> dict:
+    """A scenario document of two uniform 12-variable contexts, over
+    v0..v11 and over v{shift}..v{shift + 11}.  With moved, the second
+    context's first atom gives its mass to its second atom, which biases
+    the pair on every variable they share.  CI's wide-context CLI steps
+    write these documents."""
+    names = [f"v{i}" for i in range(12 + shift)]
+    labels = [
+        "".join("+" if a >> i & 1 else "-" for i in range(12))
+        for a in range(4096)
+    ]
+    same = dict.fromkeys(labels, "1/4096")
+    second = {**same, labels[0]: "0", labels[1]: "1/2048"} if moved else same
+    contexts = [
+        {"variables": names[k : k + 12], "distribution": d}
+        for k, d in ((0, same), (shift, second))
+    ]
+    return {"variables": names, "contexts": contexts}

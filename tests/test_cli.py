@@ -871,3 +871,24 @@ def test_biased_solve_and_condition_build_no_rows(
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("input error: variable 'Q' not in space")
+
+
+def test_builtin_variables_are_checked_without_rows(tmp_path, monkeypatch):
+    """A builtin document's "variables" are read off the payload's space,
+    so bias on a contexts built-in builds no row; a wrong list is still
+    refused."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the variables check built rows")
+
+    monkeypatch.setattr(negprob.contextuality, "_row_system", refuse)
+    path = tmp_path / "pr-box.json"
+    builtin = {"name": "pr-box"}
+    document = {"variables": ["A", "A2", "B", "B2"], "builtin": builtin}
+    path.write_text(json.dumps(document))
+    code, report = _cli_json(["bias", str(path)])
+    assert code == 0
+    assert report["bias"] is None
+    assert report["variables"] == ["A", "A2", "B", "B2"]
+    document["variables"] = ["A2", "A", "B", "B2"]
+    with pytest.raises(ScenarioFormatError, match="has \"variables\""):
+        scenario_from_data(document, "pr-box")

@@ -326,7 +326,7 @@ def test_family_system_is_assemble_row_for_row(family):
         for atom, value in enumerate(context.distribution):
             signs = [1 if atom >> i & 1 else -1 for i in range(len(names))]
             rows.append((dict(zip(names, signs)), value))
-    expected = assemble(family._space, rows, keep_contradictions=True)
+    expected = assemble(family.space, rows, keep_contradictions=True)
     system = family_system(family)
     assert system == expected
     assert row_keys(system) == row_keys(expected)
