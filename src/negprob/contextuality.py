@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import lcm
 
 from .errors import MissingPairContext
-from .measure import Context, _Record, build_space
+from .measure import Context, _Record, _subsets, build_space
 from .solver import ConstraintSystem, SolveResult, _row_system, minimize_l1
 
 
@@ -64,19 +63,6 @@ def _spread(bits: tuple[int, ...] | list[int]) -> list[int]:
     return entry
 
 
-def _shared_table(ctx: Context, bits: tuple, shared: int, den: int) -> list:
-    """The context's masses, its global bits being bits, summed in one pass
-    onto the assignments of shared's global bits, as integers over den:
-    entry s has the k-th lowest of them +1 exactly when bit k of s is set."""
-    own, units = ctx._units
-    table = [0] * (1 << shared.bit_count())
-    local = [1 << (shared & (b - 1)).bit_count() if b & shared else 0
-             for b in bits]
-    for s, p in zip(_spread(local), units):
-        table[s] += p
-    return [t * (den // own) for t in table]
-
-
 def _superset_sums(table: list) -> list:
     """Entry s of the result sums the table over the supersets of s."""
     for b in [1 << k for k in range(len(table).bit_length() - 1)]:
@@ -93,31 +79,30 @@ def detect_bias(family: ContextFamily) -> BiasWitness | None:
     order with earlier variables the lower bits, that the pair prices
     apart; its proper subsets agree, so by Mobius inversion each of its
     assignments differs, and a scan with +1 before -1 finds it first.
-    None exactly when all pairs agree on all shared events.  A context is
-    read once per pair, into integers over the pair's lcm denominator on
-    the shared variables; only tables that differ get superset sums.
+    None exactly when all pairs agree on all shared events.  A distinct
+    context is read once, on its first pair sharing a variable: all +1
+    masses keyed on global variable sets, as integers over its own lcm.
     """
     first: dict = {}  # keyed on integers: hashing the Fractions is slower
     for i, ctx in enumerate(family.contexts):
         first.setdefault((ctx.variables, ctx._units[0], *ctx._units[1]), i)
+    reads: dict = {}  # context index -> (lcm, {global bits: all +1 mass})
     for i, j in itertools.combinations(list(first.values()), 2):
-        bits_i, bits_j = family._bits[i], family._bits[j]
-        shared = sum(bits_i) & sum(bits_j)
+        shared = sum(family._bits[i]) & sum(family._bits[j])
         if not shared:
             continue
-        ctx_i, ctx_j = family.contexts[i], family.contexts[j]
-        den = lcm(ctx_i._units[0], ctx_j._units[0])
-        table_i = _shared_table(ctx_i, bits_i, shared, den)
-        table_j = _shared_table(ctx_j, bits_j, shared, den)
-        if table_i == table_j:
-            continue
-        sums_i, sums_j = _superset_sums(table_i), _superset_sums(table_j)
-        mask = next(s for s, p in enumerate(sums_i) if p != sums_j[s])
-        names = [v for k, v in enumerate(family.global_variables)
-                 if shared >> k & 1]
-        event = [(v, 1) for k, v in enumerate(names) if mask >> k & 1]
-        values = Fraction(sums_i[mask], den), Fraction(sums_j[mask], den)
-        return BiasWitness(tuple(event), i, j, *values)
+        for k in (i, j):
+            if k not in reads:
+                den, units = family.contexts[k]._units
+                keys = _spread(family._bits[k])
+                reads[k] = den, dict(zip(keys, _superset_sums(units)))
+        (den_i, sums_i), (den_j, sums_j) = reads[i], reads[j]
+        for mask in _subsets(shared):
+            if sums_i[mask] * den_j != sums_j[mask] * den_i:
+                event = [(v, 1) for k, v in enumerate(family.global_variables)
+                         if mask >> k & 1]
+                values = [Fraction(s[mask], d) for d, s in (reads[i], reads[j])]
+                return BiasWitness(tuple(event), i, j, *values)
     return None
 
 

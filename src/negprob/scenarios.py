@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
+import sys
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Mapping, NamedTuple
@@ -105,7 +107,7 @@ _CASES: dict[int, tuple[tuple[str, ...], dict[str, Fraction]]] = {
 
 def mach_zehnder_case(n: int) -> ContextFamily:
     """Proper distribution observed with detector placement n (1..8)."""
-    if n not in _CASES:
+    if type(n) is not int or n not in _CASES:
         raise InvalidCase(f"case must be 1..8, got {n!r}")
     variables, entries = _CASES[n]
     joint = _from_labels(variables, entries)
@@ -282,7 +284,10 @@ class WaveConfig(_Record):
                 f"amplitude must be positive, got {self.amplitude}"
             )
         for label in ("phi1", "phi2", "detuning"):
-            if not math.isfinite(float(getattr(self, label))):
+            phase = getattr(self, label)
+            if not isinstance(phase, numbers.Real):
+                raise TypeError(f"{label} must be a real number, got {phase!r}")
+            if not abs(phase) <= sys.float_info.max:  # nan, inf, 10**400
                 raise ValueOutOfBounds(f"{label} must be finite")
 
 

@@ -234,22 +234,27 @@ def test_bias_witness_events_are_all_plus(family):
         assert all(sign == 1 for _, sign in witness.event)
 
 
-@pytest.mark.parametrize("at", [1000, 500, 1])
+@pytest.mark.parametrize("at", [1000, 500, 1, None])
 def test_repeated_contexts_are_paired_once(monkeypatch, at):
     """1,000 equal contexts and one that disagrees, inserted at index at:
-    two tables are read, and the witness is the full scan's."""
+    two contexts are read, and the witness is the full scan's.  With no
+    disagreeing context there is no pair and nothing is read."""
     contexts = [Context(("X",), (HALF, HALF)) for _ in range(1000)]
-    contexts.insert(at, Context(("X",), (Fraction(1, 4), Fraction(3, 4))))
+    if at is not None:
+        contexts.insert(at, Context(("X",), (Fraction(1, 4), Fraction(3, 4))))
     family = ContextFamily(("X",), contexts)
     calls = []
-    read = negprob.contextuality._shared_table
+    read = negprob.contextuality._superset_sums
 
     def counted(*args):
         calls.append(args)
         return read(*args)
 
-    monkeypatch.setattr(negprob.contextuality, "_shared_table", counted)
+    monkeypatch.setattr(negprob.contextuality, "_superset_sums", counted)
     witness = detect_bias(family)
+    if at is None:
+        assert witness is None and calls == []
+        return
     assert len(calls) == 2
     assert (witness.context_i, witness.context_j) == (0, at)
     assert witness == reference_bias(family)

@@ -3,6 +3,7 @@
 import math
 import random
 import re
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -89,7 +90,7 @@ def test_absorbing_and_nondestructive_runs_agree_after_selection():
 
 
 def test_invalid_case_numbers():
-    for bad in (0, 9, "1"):
+    for bad in (0, 9, "1", True, 1.0, 2.0, Fraction(2)):
         with pytest.raises(InvalidCase):
             mach_zehnder_case(bad)
 
@@ -271,6 +272,12 @@ def test_wave_config_validation():
         WaveConfig(1.0, 0.0, 0.0, 0.0)
     with pytest.raises(ValueOutOfBounds):
         WaveConfig(Fraction(1), math.inf, 0.0, 0.0)
+    for phase in ("0.5", Decimal("0.5")):  # refused at build, not later
+        with pytest.raises(TypeError):
+            WaveConfig(1, phase, 0.0, 0.0)
+    for phase in (10**400, Fraction(10**400), -(10**400), math.nan):
+        with pytest.raises(ValueOutOfBounds, match="phi2 must be finite"):
+            WaveConfig(1, 0.0, phase, 0.0)
 
 
 def test_wave_detection_refuses_an_underflowing_amplitude():
