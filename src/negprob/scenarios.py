@@ -285,7 +285,7 @@ class WaveConfig(_Record):
             )
         for label in ("phi1", "phi2", "detuning"):
             phase = getattr(self, label)
-            if not isinstance(phase, numbers.Real):
+            if type(phase) is bool or not isinstance(phase, numbers.Real):
                 raise TypeError(f"{label} must be a real number, got {phase!r}")
             if not abs(phase) <= sys.float_info.max:  # nan, inf, 10**400
                 raise ValueOutOfBounds(f"{label} must be finite")

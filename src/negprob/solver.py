@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import chain, compress
 from math import lcm
 from operator import add, itemgetter
@@ -99,12 +100,17 @@ class ConstraintSystem(_Record):
     @property
     def includes_normalization(self) -> bool:
         """True when some row pins the full space to total mass 1."""
+        return self._normalization() >= 0
+
+    def _normalization(self) -> int:
+        """Index of the first row pinning the full space to 1, else -1."""
         full = self.space.atom_count  # no len of a cylinder: it can overflow
-        return any(
-            value == 1
-            and (e.cylinder == (0, 0) if e.cylinder else len(e) == full)
-            for e, value in self.rows
-        )
+        for r, (e, value) in enumerate(self.rows):
+            if value == 1 and (
+                e.cylinder == (0, 0) if e.cylinder else len(e) == full
+            ):
+                return r
+        return -1
 
 
 class SolveResult(_Record):
@@ -548,13 +554,86 @@ def _require_normalization(cs: ConstraintSystem) -> None:
         )
 
 
+def _proper_refutation(cs: ConstraintSystem) -> dict[int, int] | None:
+    """A Farkas vector y read off the rows, or None: row -> integer, with
+    sum_r y_r [a in E_r] <= 0 at every atom a and sum_r y_r b_r > 0.  The
+    first row valued below 0 gives one, or above 1 with normalization.  A
+    pair is two variables whose four cylinder rows are present and sum to
+    1; traversing it with sign s costs 1 - s E >= 0, E = v(++) + v(--) -
+    v(+-) - v(-+).  On a closed walk of L traversals, an odd number with
+    s = -1, the s x_u x_v multiply to -1 at each atom and so sum to at most
+    L - 2: y is s on the ++ and -- rows of each traversal, -s on its +- and
+    -+ rows and 2 - L on normalization, a broken n-cycle inequality (Araujo
+    et al., PRA 88, 022118, 2013) when b^T y = 2 - cost > 0.  Dijkstra over
+    (vertex, parity), bounded at cost 2, finds the cheapest odd walk through
+    a start vertex of the pair graph's 2-core, else deletes the start."""
+    pairs: dict[int, dict[int, tuple]] = {}  # mask -> {want: (row, value)}
+    for r, (event, value) in enumerate(cs.rows):
+        if value.numerator < 0:
+            return {r: -1}
+        if value.numerator > value.denominator:
+            return {r: 1, cs._normalization(): -1}
+        piece = event.cylinder
+        if piece is not None and piece[0].bit_count() == 2:
+            pairs.setdefault(piece[0], {}).setdefault(piece[1], (r, value))
+    full = [(mask, rows) for mask, rows in pairs.items() if len(rows) == 4]
+    if len(full) < 3:
+        return None
+    den = lcm(*[v.denominator for _, rows in full for _, v in rows.values()])
+    graph: dict[int, dict[int, tuple[int, int]]] = {}  # u -> {v: (E, mask)}
+    for mask, got in full:
+        e = total = 0
+        for want, (_, value) in got.items():
+            num = den // value.denominator * value.numerator
+            e, total = e + (num if want in (0, mask) else -num), total + num
+        if total == den:
+            u = mask & -mask
+            graph.setdefault(u, {})[mask ^ u] = e, mask
+            graph.setdefault(mask ^ u, {})[u] = e, mask
+    loose = [x for x, near in graph.items() if len(near) < 2]
+    while True:
+        while loose:  # prune to the 2-core
+            x = loose.pop()
+            for z in graph.pop(x, ()):
+                del graph[z][x]
+                if len(graph[z]) == 1:
+                    loose.append(z)
+        if not graph:
+            return None
+        start = next(iter(graph))
+        best, back, heap = {(start, 0): 0}, {}, [(0, start, 0)]
+        while heap:
+            cost, x, odd = heappop(heap)
+            if x == start and odd:
+                norm = cs._normalization()
+                y, key = {norm: 2}, (start, 1)
+                while key != (start, 0):
+                    x, odd, mask, s = back[key]
+                    key, y[norm] = (x, odd), y[norm] - 1
+                    for want, (r, _) in pairs[mask].items():
+                        y[r] = y.get(r, 0) + (s if want in (0, mask) else -s)
+                return y
+            if cost > best[x, odd]:
+                continue
+            for z, (e, mask) in graph[x].items():
+                for far, s in ((cost + den - e, 1), (cost + den + e, -1)):
+                    key = z, odd ^ (s < 0)
+                    if far < best.get(key, 2 * den):
+                        best[key], back[key] = far, (x, odd, mask, s)
+                        heappush(heap, (far, *key))
+        loose.append(start)
+
+
 def feasible_proper(cs: ConstraintSystem) -> SignedMeasure | None:
     """A nonnegative solution of all rows, or None when none exists.
 
     Absence of a proper solution is an ordinary answer, not an error; the
-    rows may still admit signed solutions.
+    rows may still admit signed solutions.  A Farkas vector read off the
+    rows by _proper_refutation answers None without the simplex.
     """
     _require_normalization(cs)
+    if _proper_refutation(cs) is not None:
+        return None
     lp, feasible = _phase1(cs, split=False)
     if not feasible:
         return None

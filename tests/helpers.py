@@ -156,3 +156,40 @@ def wide_contexts_document(shift: int = 0, moved: bool = True) -> dict:
         for k, d in ((0, same), (shift, second))
     ]
     return {"variables": names, "contexts": contexts}
+
+
+def negative_atom_document(n: int = 12) -> dict:
+    """A scenario document of one row per full assignment of v0..v{n-1},
+    each valued 1/2^n except the all -1 one, valued -1/2^n.  No proper
+    joint meets that one row; phase 1 of the simplex takes seconds at
+    n = 12 to find that out.  CI's negative-atom viable step writes it."""
+    names = [f"v{i}" for i in range(n)]
+    rows = []
+    for atom in range(1 << n):
+        event = {v: 1 if atom >> i & 1 else -1 for i, v in enumerate(names)}
+        value = f"{-1 if atom == 0 else 1}/{1 << n}"
+        rows.append({"event": event, "value": value})
+    return {"variables": names, "constraints": rows}
+
+
+def farkas_holds(cs: ConstraintSystem, y: dict[int, int]) -> bool:
+    """True when y, row index -> coefficient, proves that no nonnegative
+    solution of cs exists: sum_r y_r value_r > 0, while at every atom a
+    sum_r y_r [a in E_r] <= 0.  Checked atom by atom, so only for spaces
+    of at most 10 variables."""
+    assert len(cs.space.variables) <= 10
+    if sum(c * cs.rows[r][1] for r, c in y.items()) <= 0:
+        return False
+    members = [(cs.rows[r][0].atoms, c) for r, c in y.items()]
+    return all(
+        sum(c for atoms, c in members if a in atoms) <= 0
+        for a in range(cs.space.atom_count)
+    )
+
+
+def random_ring(rng: random.Random, n: int) -> ContextFamily:
+    """A ring of n random proper pair contexts; their singles seldom
+    agree, so the family is usually biased."""
+    names = tuple(f"V{k}" for k in range(n))
+    pairs = [(names[k], names[(k + 1) % n]) for k in range(n)]
+    return ContextFamily(names, [random_pair_context(rng, p) for p in pairs])

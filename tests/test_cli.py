@@ -39,7 +39,12 @@ from negprob.cli import (
     scenario_from_data,
 )
 from negprob.measure import RATIONAL_MAX_CHARS
-from helpers import families_with_repeats, mz_family
+from helpers import (
+    families_with_repeats,
+    mz_family,
+    ncycle,
+    negative_atom_document,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -892,3 +897,23 @@ def test_builtin_variables_are_checked_without_rows(tmp_path, monkeypatch):
     document["variables"] = ["A2", "A", "B", "B2"]
     with pytest.raises(ScenarioFormatError, match="has \"variables\""):
         scenario_from_data(document, "pr-box")
+
+
+def test_refuted_viable_runs_no_simplex(tmp_path, monkeypatch):
+    """viable answers NOT VIABLE, exit 2, from a Farkas vector read off the
+    rows: the ring's broken n-cycle inequality, pr-box's CHSH, and the one
+    negative row of a 12-variable document whose phase 1 takes seconds."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a refuted viable ran the simplex")
+
+    monkeypatch.setattr(negprob.solver, "_phase1", refuse)
+    documents = [
+        family_to_scenario(ncycle(10)),
+        {"builtin": {"name": "pr-box"}},
+        negative_atom_document(),
+    ]
+    for k, document in enumerate(documents):
+        path = write_json(tmp_path, f"refuted-{k}.json", document)
+        code, report = _cli_json(["viable", path])
+        assert code == 2
+        assert report["viable"] is False and report["witness"] is None

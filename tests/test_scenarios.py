@@ -275,6 +275,12 @@ def test_wave_config_validation():
     for phase in ("0.5", Decimal("0.5")):  # refused at build, not later
         with pytest.raises(TypeError):
             WaveConfig(1, phase, 0.0, 0.0)
+    for at in range(3):  # bools, as everywhere else in the package
+        phases = [0.0, 0.0, 0.0]
+        phases[at] = True
+        label = ("phi1", "phi2", "detuning")[at]
+        with pytest.raises(TypeError, match=f"{label} must be a real number"):
+            WaveConfig(1, *phases)
     for phase in (10**400, Fraction(10**400), -(10**400), math.nan):
         with pytest.raises(ValueOutOfBounds, match="phi2 must be finite"):
             WaveConfig(1, 0.0, phase, 0.0)

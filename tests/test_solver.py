@@ -55,7 +55,15 @@ from negprob.solver import (
 )
 
 from gridsearch import grid_minimum, parameterization
-from helpers import mz_family, ncycle, random_small_system
+from helpers import (
+    families,
+    families_with_repeats,
+    farkas_holds,
+    mz_family,
+    ncycle,
+    random_ring,
+    random_small_system,
+)
 
 XY = build_space(("X", "Y"))
 
@@ -847,8 +855,9 @@ def test_adjugate_invariant_holds_on_both_pivot_kinds(monkeypatch):
 
 def _pivot_counts(monkeypatch):
     """Per system of the table below: the pivots of minimize_l1 in each
-    step it runs (_phase1, _drop_redundant, _phase2), and of
-    feasible_proper."""
+    step it runs (_phase1, _drop_redundant, _phase2), and of the unsplit
+    phase 1, the LP feasible_proper runs when no Farkas vector is read off
+    the rows."""
     calls = []
     pivot = _RevisedLP.pivot
 
@@ -877,7 +886,7 @@ def _pivot_counts(monkeypatch):
         minimize_l1(cs)
         steps = tuple(calls)
         calls.clear()
-        feasible_proper(cs)
+        solver._phase1(cs, split=False)
         counts[name] = (steps, calls[0])
     return counts
 
@@ -920,6 +929,100 @@ def test_bland_pivot_counts_are_pinned(monkeypatch):
     """A change to the simplex's state or bookkeeping that keeps every
     decision of Bland's rule keeps these counts, step by step."""
     assert _pivot_counts(monkeypatch) == PIVOT_COUNTS
+
+
+# the systems of PIVOT_COUNTS whose rows refute a proper solution: a row
+# valued outside [0, 1] (the hidden-measure systems) or a broken n-cycle
+# inequality (the CHSH boxes and the rings; lg-chain is a triangle)
+REFUTED_BY_ROWS = {
+    "pr-box",
+    "tsirelson",
+    "lg-chain",
+    *(f"cycle-{n}" for n in range(3, 15)),
+    "hidden-6",
+    "hidden-7",
+    "hidden-8",
+}
+
+
+def test_feasible_proper_pivots_only_where_the_rows_refute_nothing(
+    monkeypatch,
+):
+    """feasible_proper answers the refuted systems with no pivot, and
+    pivots on every other one as the unsplit phase 1 of PIVOT_COUNTS
+    does: the interferometer systems, mz-counterfactual and mz-detuned
+    (whose proof needs nested rows) included."""
+    pivots = []
+    pivot = _RevisedLP.pivot
+
+    def counted_pivot(lp, row, j, col):
+        pivots.append(j)
+        pivot(lp, row, j, col)
+
+    monkeypatch.setattr(_RevisedLP, "pivot", counted_pivot)
+    systems = dict(zip(BUILTINS, _builtin_systems()))
+    for n in range(3, 15):
+        systems[f"cycle-{n}"] = family_system(ncycle(n))
+    for cs in _cycles_and_hidden_systems()[-3:]:
+        systems[f"hidden-{len(cs.space.variables)}"] = cs
+    counts = {}
+    for name, cs in systems.items():
+        pivots.clear()
+        feasible_proper(cs)
+        counts[name] = len(pivots)
+    expected = {
+        name: 0 if name in REFUTED_BY_ROWS else proper
+        for name, (_, proper) in PIVOT_COUNTS.items()
+    }
+    assert counts == expected
+    assert counts["mz-counterfactual"] and counts["mz-detuned"]
+
+
+def test_pinned_refutations_pass_the_brute_force_check():
+    """Every Farkas vector read off the rows of the built-ins, the rings
+    3..10 and the hidden-measure systems holds at every atom."""
+    refuted = 0
+    for cs in _builtin_systems() + _cycles_and_hidden_systems():
+        y = solver._proper_refutation(cs)
+        if y is not None:
+            assert farkas_holds(cs, y)
+            refuted += 1
+    assert refuted == 14  # pr-box, tsirelson, lg-chain, 8 rings, 3 hidden
+
+
+def test_a_refuted_ring_is_its_n_cycle_inequality():
+    """On the ring every pair row carries +-1 and normalization 2 - n: the
+    sum of the n signed correlations is at most n - 2 under a proper
+    joint, and the ring's rows reach n."""
+    for n in range(3, 25):
+        cs = family_system(ncycle(n))
+        y = solver._proper_refutation(cs)
+        assert y.pop(len(cs.rows) - 1) == 2 - n
+        assert sorted(y) == list(range(4 * n))
+        assert set(y.values()) == {1, -1}
+        assert sum(c * cs.rows[r][1] for r, c in y.items()) == n
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        families().map(family_system),
+        families_with_repeats().map(family_system),
+        st.integers(0, 2**32).map(
+            lambda seed: random_small_system(random.Random(seed), 4, 8)
+        ),
+        st.tuples(st.integers(0, 2**32), st.integers(3, 7)).map(
+            lambda t: family_system(random_ring(random.Random(t[0]), t[1]))
+        ),
+    )
+)
+def test_every_refutation_is_a_farkas_vector(cs):
+    """Whenever the rows give a y, it holds at every atom, and phase 1 of
+    the simplex agrees that no proper solution exists."""
+    y = solver._proper_refutation(cs)
+    if y is not None:
+        assert farkas_holds(cs, y)
+        assert not _phase1(cs, split=False)[1]
 
 
 def _assert_elimination_matches_scan(cs):
