@@ -88,7 +88,7 @@ class _Record:
     costs each fresh process more than the records do.  The fields are the
     class's annotations, in order; _set stores them and keeps them as _key,
     which equality (within one class only), hash and repr read.  No
-    __slots__: cached_property and the solver's column cache use __dict__."""
+    __slots__: cached_property uses __dict__."""
 
     def __init_subclass__(cls) -> None:
         if "__annotations__" in vars(cls):  # else it keeps its base's

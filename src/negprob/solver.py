@@ -287,18 +287,26 @@ def _pieces(event: Event) -> list[tuple[int, int]]:
     return [(full, atom) for atom in sorted(event.atoms)]
 
 
-class _Columns:
-    """What every LP on one system reads off its rows alone.  pieces lists
-    each row r's disjoint cylinders (r, mask, want), read by _pieces.
-    Pricing scans gathers, one itemgetter of its rows per atom, or searches
-    elim, a planned _Elimination over the pieces, when the scan's (atom,
-    row) count exceeds SCAN_PER_TABLE times its table count: one choice
-    per system, made here.  gathers then caches column's atoms.  probes
-    pairs first_real's atoms with theirs.  A part built on first use is
-    stored whole, never grown in place."""
+class _RevisedLP:
+    """Integer rows adj = det B^-1 [I | b scale_b], det > 0, and basis for
+    A x = b, x >= 0; scale_b is the lcm of the row values' denominators.
+    Row i is basis[i]'s adjugate row, then x_i det scale_b.  Real column j
+    is atom j mod N, negated for j >= N (the split's minus half), with a 1
+    on each row whose event holds the atom.  The artificial of row r is
+    column ncols + r, flip_r * e_r with flip_r = -1 on a negative value:
+    flipping the row instead gives the same tableau B^-1 A.
 
-    def __init__(self, cs: ConstraintSystem) -> None:
-        self.n = cs.space.atom_count
+    Each LP reads its system's rows once, into pieces: each row r's
+    disjoint cylinders (r, mask, want), read by _pieces.  Pricing scans
+    gathers, one itemgetter of its rows per atom, or searches elim, a
+    planned _Elimination over the pieces, when the scan's (atom, row)
+    count exceeds SCAN_PER_TABLE times its table count.  gathers then
+    caches column's atoms.  probes pairs first_real's atoms with theirs.
+    Nothing is written onto the system.
+    """
+
+    def __init__(self, cs: ConstraintSystem, split: bool) -> None:
+        self.n = n = cs.space.atom_count
         nvars = len(cs.space.variables)
         self.pieces = [
             (r, *piece)
@@ -309,50 +317,17 @@ class _Columns:
         scan = sum([1 << (nvars - m.bit_count()) for _, m, _ in self.pieces])
         elim = _Elimination(self.pieces, nvars)
         self.elim = elim if scan > SCAN_PER_TABLE * elim.table_count else None
-        if self.elim is not None:
-            elim.build_plan()
         self.probes: list[tuple[int, itemgetter]] | None = None
         self.gathers: dict[int, itemgetter] = {}
-        if self.elim is None:
-            rows_of: list[list[int]] = [[] for _ in range(self.n)]
+        if self.elim is not None:
+            elim.build_plan()
+        else:
+            rows_of: list[list[int]] = [[] for _ in range(n)]
             for r, mask, want in self.pieces:
-                for atom in _subsets((self.n - 1) ^ mask, want):
+                for atom in _subsets((n - 1) ^ mask, want):
                     rows_of[atom].append(r)
             self.gathers = dict(enumerate(map(_gather, rows_of)))
-
-    def gather_at(self, atoms: list[int]) -> list[itemgetter]:
-        """The _gather of the rows whose event holds each atom.  Those not
-        yet built (on elim's path, where gathers starts empty) are built
-        in one pass and stored in one new dict."""
-        gathers, pieces = self.gathers, self.pieces
-        built = {
-            a: _gather([r for r, m, w in pieces if a & m == w])
-            for a in atoms
-            if a not in gathers
-        }
-        if built:
-            gathers = self.gathers = {**gathers, **built}
-        return [gathers[a] for a in atoms]
-
-
-class _RevisedLP:
-    """Integer rows adj = det B^-1 [I | b scale_b], det > 0, and basis for
-    A x = b, x >= 0; scale_b is the lcm of the row values' denominators.
-    Row i is basis[i]'s adjugate row, then x_i det scale_b.  Real column j
-    is atom j mod N, negated for j >= N (the split's minus half), with a 1
-    on each row whose event holds the atom.  The artificial of row r is
-    column ncols + r, flip_r * e_r with flip_r = -1 on a negative value:
-    flipping the row instead gives the same tableau B^-1 A.
-    """
-
-    def __init__(self, cs: ConstraintSystem, split: bool) -> None:
-        self.cols = getattr(cs, "_columns", None)  # not vars: see _Record
-        if self.cols is None:
-            self.cols = _Columns(cs)
-            object.__setattr__(cs, "_columns", self.cols)
-        self.n = self.cols.n
-        self.elim = self.cols.elim
-        self.ncols = 2 * self.n if split else self.n
+        self.ncols = 2 * n if split else n
         self.flip = [-1 if b.numerator < 0 else 1 for _, b in cs.rows]
         # a list, not a generator: see SignedMeasure.__init__
         self.scale_b = lcm(*[value.denominator for _, value in cs.rows])
@@ -366,13 +341,21 @@ class _RevisedLP:
             self.adj[r][r] = f
         self.basis = [self.ncols + r for r in range(m)]
 
+    def gather(self, atom: int) -> itemgetter:
+        """The _gather of the rows whose event holds the atom, built on
+        first use (on elim's path, where gathers starts empty)."""
+        get = self.gathers.get(atom)
+        if get is None:
+            rows = [r for r, m, w in self.pieces if atom & m == w]
+            get = self.gathers[atom] = _gather(rows)
+        return get
+
     def column(self, j: int) -> list[int]:
         """Tableau column j times det: adj times column j of [A | flips]."""
         if j >= self.ncols:
             r = j - self.ncols
             return [self.flip[r] * row[r] for row in self.adj]
-        atom = j % self.n
-        get = self.cols.gathers.get(atom) or self.cols.gather_at([atom])[0]
+        get = self.gather(j % self.n)
         col = list(map(sum, map(get, self.adj)))
         return col if j < self.n else [-x for x in col]
 
@@ -396,7 +379,7 @@ class _RevisedLP:
                     return self.n + atom
         else:
             first_minus = -1
-            for atom, get in self.cols.gathers.items():
+            for atom, get in self.gathers.items():
                 w = sum(get(big_y))
                 if w > cost:
                     return atom
@@ -423,12 +406,12 @@ class _RevisedLP:
         row that is not a cylinder has full-mask pieces, which make every
         atom a probe.
         """
-        if self.cols.probes is None:
-            masks = {mask for _, mask, _ in self.cols.pieces}
+        if self.probes is None:
+            masks = {mask for _, mask, _ in self.pieces}
             atoms = sorted({a for m in masks for a in _subsets(m)})
-            self.cols.probes = list(zip(atoms, self.cols.gather_at(atoms)))
+            self.probes = [(a, self.gather(a)) for a in atoms]
         row = self.adj[i]
-        for atom, get in self.cols.probes:
+        for atom, get in self.probes:
             if sum(get(row)):
                 return atom
         return -1

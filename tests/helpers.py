@@ -72,12 +72,14 @@ def random_small_system(
 def random_pair_context(
     rng: random.Random, variables: tuple[str, str]
 ) -> Context:
-    """Random proper distribution over one variable pair."""
-    while True:
-        weights = [rng.randint(0, 8) for _ in range(4)]
-        total = sum(weights)
-        if total:
-            break
+    """Random proper distribution over one variable pair.  All-zero
+    weights put a nonzero weight at one drawn atom instead of drawing
+    again, so a Random that always answers randint with its lower bound,
+    as hypothesis's minimal st.randoms() does, gets (1, 0, 0, 0)."""
+    weights = [rng.randint(0, 8) for _ in range(4)]
+    if not any(weights):
+        weights[rng.randint(0, 3)] = rng.randint(1, 8)
+    total = sum(weights)
     return Context(
         variables, tuple(Fraction(w, total) for w in weights)
     )

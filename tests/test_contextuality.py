@@ -446,6 +446,30 @@ def test_bias_decides_joint_existence():
             assert result.status is SolveStatus.INFEASIBLE
 
 
+class _LowestRandom(random.Random):
+    """Answers every randint with its lower bound, as hypothesis's minimal
+    st.randoms() does, and fails past 100 answers instead of hanging."""
+
+    answers = 0
+
+    def randint(self, a, b):
+        self.answers += 1
+        assert self.answers <= 100, "randint asked again and again"
+        return a
+
+
+def test_random_pair_context_returns_on_all_zero_weights():
+    """All-zero weights no longer send random_pair_context drawing
+    forever; a draw with a nonzero total is unchanged."""
+    context = random_pair_context(_LowestRandom(), ("X", "Y"))
+    assert context.distribution == (1, 0, 0, 0)
+    rng, again = random.Random(7), random.Random(7)
+    weights = [again.randint(0, 8) for _ in range(4)]
+    assert sum(weights)
+    expected = tuple(Fraction(w, sum(weights)) for w in weights)
+    assert random_pair_context(rng, ("X", "Y")).distribution == expected
+
+
 def test_unbiased_builders_never_show_bias():
     rng = random.Random(92653)
     for _ in range(30):

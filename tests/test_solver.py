@@ -7,6 +7,7 @@ import threading
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from fractions import Fraction
 from operator import mul
 
@@ -677,10 +678,11 @@ def _check_first_real(nvars, rows, y, c, plain):
         system_rows = ((Event.of(space, event.atoms), value), *rest)
     cs = ConstraintSystem(space, system_rows)
     for per_table in (10**9, 0):
-        lp = _RevisedLP(_priced(cs, per_table), split=False)
-        lp.adj = [y]
-        assert lp.first_real(0) == expected
-        probes = [atom for atom, _ in lp.cols.probes]
+        with _priced(cs, per_table):
+            lp = _RevisedLP(cs, split=False)
+            lp.adj = [y]
+            assert lp.first_real(0) == expected
+        probes = [atom for atom, _ in lp.probes]
         if plain:
             assert probes == list(range(full + 1))
         else:
@@ -752,18 +754,18 @@ def test_rank_from_probes_matches_independent_row_reduction():
         _, _, free_cols = parameterization(cs)
         expected = (atoms - len(free_cols), len(free_cols))
         for per_table in (10**9, 0):
-            priced = _priced(cs, per_table)
-            assert rank_nullity(priced) == expected
-            result = minimize_l1(priced)
-            assert (result.rank, result.nullity) == expected
-            assert verify_member(priced, result.witness, result.mstar)
-            lp = _RevisedLP(priced, split=False)
-            _drop_redundant(lp)
+            with _priced(cs, per_table):
+                assert rank_nullity(cs) == expected
+                result = minimize_l1(cs)
+                assert (result.rank, result.nullity) == expected
+                assert verify_member(cs, result.witness, result.mstar)
+                lp = _RevisedLP(cs, split=False)
+                _drop_redundant(lp)
             assert len(lp.basis) == expected[0]
             if probes is None:
-                assert 2 * len(lp.cols.probes) < atoms
+                assert 2 * len(lp.probes) < atoms
             else:
-                assert len(lp.cols.probes) == probes
+                assert len(lp.probes) == probes
 
 
 def test_pricing_path_follows_the_counts():
@@ -826,9 +828,9 @@ def test_carried_prices_are_the_prices(monkeypatch):
     systems = _builtin_systems() + _cycles_and_hidden_systems()
     for per_table in (10**9, 0):
         for cs in systems:
-            priced = _priced(cs, per_table)
-            minimize_l1(priced)
-            feasible_proper(priced)
+            with _priced(cs, per_table):
+                minimize_l1(cs)
+                feasible_proper(cs)
     assert phases == {True, False}
 
 
@@ -1030,8 +1032,8 @@ def _assert_elimination_matches_scan(cs):
     minimize_l1 and feasible_proper give the scan's answers and witnesses."""
     assert _RevisedLP(cs, split=True).elim is None
     expected = (minimize_l1(cs), feasible_proper(cs))
-    eliminated = _priced(cs, 0)
-    assert (minimize_l1(eliminated), feasible_proper(eliminated)) == expected
+    with _priced(cs, 0):
+        assert (minimize_l1(cs), feasible_proper(cs)) == expected
 
 
 def test_non_cylinder_rows_are_priced_by_the_scan():
@@ -1166,83 +1168,69 @@ def test_twenty_variable_ring_solves_in_kilobytes(monkeypatch):
     assert peak < 1024 * 1024
 
 
-# -- one column side per system ----------------------------------------------
+# -- each LP reads its own rows ---------------------------------------------
 
 
-def test_columns_are_built_once_per_system(monkeypatch):
-    """minimize_l1, then feasible_proper, then rank_nullity on one system
-    read its rows into pieces once, one _pieces call per row, not three.
-    The later calls build no pieces, no elimination plan and no probes
-    (each would call _subsets), on the scan and on elimination."""
-    calls = {"_pieces": 0, "_subsets": 0}
+def test_one_lp_reads_each_row_into_pieces_once(monkeypatch):
+    """minimize_l1 builds one LP, which reads its rows into pieces once:
+    one _pieces call per row, on the scan and on elimination."""
+    calls = []
+    pieces = solver._pieces
 
-    def counted(name):
-        step = getattr(solver, name)
+    def counted(event):
+        calls.append(event)
+        return pieces(event)
 
-        def run(*args):
-            calls[name] += 1
-            return step(*args)
-
-        return run
-
-    for name in calls:
-        monkeypatch.setattr(solver, name, counted(name))
+    monkeypatch.setattr(solver, "_pieces", counted)
     systems = [(mz_counterfactual(), False), (family_system(ncycle(10)), True)]
     for cs, elim in systems:
-        calls.update(dict.fromkeys(calls, 0))
-        result = minimize_l1(cs)
-        assert calls["_pieces"] == len(cs.rows)
+        calls.clear()
+        minimize_l1(cs)
+        assert calls == [event for event, _ in cs.rows]
         assert (_RevisedLP(cs, split=False).elim is not None) == elim
-        calls.update(dict.fromkeys(calls, 0))
-        assert feasible_proper(cs) is None
-        assert rank_nullity(cs) == (result.rank, result.nullity)
-        assert calls == {"_pieces": 0, "_subsets": 0}
+
+
+def test_solves_write_nothing_onto_the_system():
+    """minimize_l1, feasible_proper and rank_nullity read their system and
+    leave its attributes as they were, on the scan and on elimination."""
+    for cs in (mz_counterfactual(), family_system(ncycle(10))):
+        keys = list(vars(cs))
+        minimize_l1(cs)
+        feasible_proper(cs)
+        rank_nullity(cs)
+        assert list(vars(cs)) == keys
 
 
 def _fresh(cs):
-    """An equal system that has built nothing yet."""
+    """An equal system that no call has read yet."""
     return ConstraintSystem(cs.space, cs.rows)
 
 
+@contextmanager
 def _priced(cs, per_table):
-    """An equal system whose columns are built under SCAN_PER_TABLE =
-    per_table, which each system reads once: 0 puts it on elimination,
-    10**9 on the scan.  The path it got is asserted, so a system that had
-    already built its columns cannot pass for the other path."""
-    cs = _fresh(cs)
+    """A block in which SCAN_PER_TABLE = per_table, which each LP reads
+    when it is built: 0 puts cs on elimination, 10**9 on the scan.  An LP
+    on cs built inside the block is asserted to take that path, so the
+    block cannot pass for the other path."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solver, "SCAN_PER_TABLE", per_table)
         elim = _RevisedLP(cs, split=False).elim
-    assert (elim is None) == (per_table > 0)
-    return cs
+        assert (elim is None) == (per_table > 0)
+        yield
 
 
 def _assert_shared_columns_give_fresh_answers(cs):
     """minimize_l1, feasible_proper and rank_nullity on one system, then
-    again in reverse order, each equal to its answer on a fresh equal
-    system; every system on the scan, then on elimination."""
+    again in reverse order, give the same answers; every system on the
+    scan, then on elimination."""
     for per_table in (10**9, 0):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(solver, "SCAN_PER_TABLE", per_table)
-            expected = [
-                minimize_l1(_fresh(cs)),
-                feasible_proper(_fresh(cs)),
-                rank_nullity(_fresh(cs)),
-            ]
-            shared = _fresh(cs)
-            first = [
-                minimize_l1(shared),
-                feasible_proper(shared),
-                rank_nullity(shared),
-            ]
-            again = [
-                rank_nullity(shared),
-                feasible_proper(shared),
-                minimize_l1(shared),
-            ]
-            assert first == expected == again[::-1]
-        elim = _RevisedLP(shared, split=False).elim
-        assert (elim is None) == (per_table > 0)
+            first = [minimize_l1(cs), feasible_proper(cs), rank_nullity(cs)]
+            again = [rank_nullity(cs), feasible_proper(cs), minimize_l1(cs)]
+            assert first == again[::-1]
+            elim = _RevisedLP(cs, split=False).elim
+            assert (elim is None) == (per_table > 0)
 
 
 def test_shared_columns_give_fresh_answers():
@@ -1307,7 +1295,7 @@ def test_normalization_and_solves_take_no_len_of_a_cylinder(monkeypatch):
     Py_ssize_t; includes_normalization reads a cylinder row's mask, and
     the solves read pieces, so neither calls Event.__len__."""
     cs = family_system(ncycle(8))
-    expected = minimize_l1(_fresh(cs)), feasible_proper(_fresh(cs))
+    expected = minimize_l1(cs), feasible_proper(cs)
 
     def no_len(event):
         raise OverflowError("len of an event called")
@@ -1333,22 +1321,13 @@ def test_event_hash_takes_no_len(monkeypatch):
 
 def test_first_real_stores_the_probe_gathers_once(monkeypatch):
     """On elimination the gather cache starts empty; the first first_real
-    builds every probe's gather in one pass and assigns the merged cache
-    once, where one assignment per probe atom copied it each time."""
+    stores every probe's gather in it, and column reads those same
+    gathers."""
     monkeypatch.setattr(solver, "SCAN_PER_TABLE", 0)
     lp = _RevisedLP(family_system(ncycle(8)), split=False)
-    assert lp.elim is not None and lp.cols.gathers == {}
-    stores = []
-
-    class Counting(type(lp.cols)):
-        def __setattr__(self, name, value):
-            stores.append(name)
-            super().__setattr__(name, value)
-
-    lp.cols.__class__ = Counting
+    assert lp.elim is not None and lp.gathers == {}
     assert lp.first_real(0) >= 0
-    assert len(lp.cols.probes) > 1
-    assert stores.count("gathers") == 1
-    assert [get for _, get in lp.cols.probes] == [
-        lp.cols.gathers[atom] for atom, _ in lp.cols.probes
+    assert len(lp.probes) > 1
+    assert [get for _, get in lp.probes] == [
+        lp.gathers[atom] for atom, _ in lp.probes
     ]
