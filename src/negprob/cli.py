@@ -452,11 +452,11 @@ def _build_parser() -> _Parser:
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     """A JSON object's members; a key given twice is refused, not
     silently overwritten by the last."""
-    members: dict = {}
-    for key, value in pairs:
-        if key in members:
-            raise ScenarioFormatError(f"key {key!r} given twice in one object")
-        members[key] = value
+    members = dict(pairs)
+    if len(members) < len(pairs):  # name the first key met twice
+        seen: set = set()  # seen.add returns None, so only a repeat passes
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise ScenarioFormatError(f"key {key!r} given twice in one object")
     return members
 
 

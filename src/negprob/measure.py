@@ -519,9 +519,10 @@ def _kolmogorov(space: SampleSpace, masses: Sequence) -> tuple:
     (lcm, the masses' numerators over it), which detect_bias reads; the
     sums are on ints, as a Fraction sum renormalizes at every step."""
     violations: list[Violation] = []
-    for atom, value in masses:
+    ratios = [value.as_integer_ratio() for _, value in masses]
+    for (atom, value), (n, d) in zip(masses, ratios):
         # 0 <= value <= 1 on ints: a Fraction's denominator is positive
-        if not 0 <= value.numerator <= value.denominator:
+        if not 0 <= n <= d:
             violations.append(
                 Violation(
                     "K1",
@@ -529,8 +530,8 @@ def _kolmogorov(space: SampleSpace, masses: Sequence) -> tuple:
                     (atom,),
                 )
             )
-    den = lcm(*[value.denominator for _, value in masses])
-    units = [v.numerator * (den // v.denominator) for _, v in masses]
+    den = lcm(*[d for _, d in ratios])
+    units = [n * (den // d) for n, d in ratios]
     num = sum(units)
     if num != den:
         total = Fraction(num, den)

@@ -106,9 +106,8 @@ class ConstraintSystem(_Record):
         """Index of the first row pinning the full space to 1, else -1."""
         full = self.space.atom_count  # no len of a cylinder: it can overflow
         for r, (e, value) in enumerate(self.rows):
-            if value == 1 and (
-                e.cylinder == (0, 0) if e.cylinder else len(e) == full
-            ):
+            piece = e.cylinder  # tested before value == 1, a Fraction call
+            if (piece == (0, 0) if piece else len(e) == full) and value == 1:
                 return r
         return -1
 
@@ -163,7 +162,7 @@ def _row_system(
     seen: dict[object, int] = {}  # key -> index of its row in rows
     for item, raw in pairs:
         value = as_fraction(raw)
-        num, den = value.numerator, value.denominator
+        num, den = value.as_integer_ratio()
         if abs(num) > ASSEMBLE_VALUE_BOUND * den:
             raise ValueOutOfBounds(
                 f"constraint value {value} outside sanity bound"
@@ -328,14 +327,14 @@ class _RevisedLP:
                     rows_of[atom].append(r)
             self.gathers = dict(enumerate(map(_gather, rows_of)))
         self.ncols = 2 * n if split else n
-        self.flip = [-1 if b.numerator < 0 else 1 for _, b in cs.rows]
+        ratios = [value.as_integer_ratio() for _, value in cs.rows]
+        self.flip = [-1 if num < 0 else 1 for num, _ in ratios]
         # a list, not a generator: see SignedMeasure.__init__
-        self.scale_b = lcm(*[value.denominator for _, value in cs.rows])
-        self.det = 1
-        m = len(self.flip)
+        self.scale_b = lcm(*[den for _, den in ratios])
+        self.det, m = 1, len(ratios)
         self.adj = [
-            [0] * m + [abs(b.numerator) * (self.scale_b // b.denominator)]
-            for _, b in cs.rows
+            [0] * m + [abs(num) * (self.scale_b // den)]
+            for num, den in ratios
         ]
         for r, f in enumerate(self.flip):
             self.adj[r][r] = f
@@ -464,9 +463,16 @@ def _bland_iterate(lp: _RevisedLP, phase1: bool) -> int:
     ratio test makes p > 0, so a stays the same; adding it when the
     entering column is costed (e = 1, else 0) gives big_y' =
     (p * big_y - (t - e * det) * a) / det: one more row for _bareiss.
+
+    A correct Bland run never raises the objective big_y[-1] / det, nor
+    revisits a basis while it stays level, so a pricing or ratio-test
+    fault raises ArithmeticError instead of pivoting forever.  A basis is
+    kept in row order, which fixes adj and big_y, so an endless level run
+    repeats one exactly.
     """
     costed = [col >= lp.ncols or not phase1 for col in lp.basis]
     big_y = [sum(ys) for ys in zip(*compress(lp.adj, costed))]
+    level: set[tuple[int, ...]] = set()  # bases met at the level objective
     while True:
         enter = lp.entering(phase1, big_y)
         if enter < 0:
@@ -487,8 +493,19 @@ def _bland_iterate(lp: _RevisedLP, phase1: bool) -> int:
         a, det, p = lp.adj[leave], lp.det, col[leave]
         t = sum(compress(col, costed))
         e = costed[leave] = enter >= lp.ncols or not phase1
+        old = big_y[-1] * p  # objectives over det, then p: cross-multiplied
         lp.pivot(leave, enter, col)
         _bareiss([(big_y, t - e * det)], a, p, det)
+        new = big_y[-1] * det
+        if new > old:
+            raise ArithmeticError("simplex pivot raised the objective")
+        if new < old:
+            level.clear()
+            continue
+        basis = tuple(lp.basis)
+        if basis in level:
+            raise ArithmeticError("simplex pivot revisited a basis")
+        level.add(basis)
 
 
 def _phase1(cs: ConstraintSystem, split: bool) -> tuple[_RevisedLP, bool]:
@@ -529,20 +546,23 @@ def _witness(lp: _RevisedLP, space: SampleSpace) -> SignedMeasure:
     return SignedMeasure.from_sparse(space, masses)
 
 
-def _require_normalization(cs: ConstraintSystem) -> None:
-    if not cs.includes_normalization:
+def _require_normalization(cs: ConstraintSystem) -> int:
+    norm = cs._normalization()
+    if norm < 0:
         raise MissingNormalization(
             "constraint system lacks the total-mass row; "
             "assemble() adds it automatically"
         )
+    return norm
 
 
-def _proper_refutation(cs: ConstraintSystem) -> dict[int, int] | None:
+def _proper_refutation(cs: ConstraintSystem, norm: int) -> dict | None:
     """A Farkas vector y read off the rows, or None: row -> integer, with
     sum_r y_r [a in E_r] <= 0 at every atom a and sum_r y_r b_r > 0.  The
-    first row valued below 0 gives one, or above 1 with normalization.  A
-    pair is two variables whose four cylinder rows are present and sum to
-    1; traversing it with sign s costs 1 - s E >= 0, E = v(++) + v(--) -
+    first row valued below 0 gives one, or above 1 with the normalization
+    row norm; each value's integers are read once.  A pair is two
+    variables whose four cylinder rows are present and sum to 1;
+    traversing it with sign s costs 1 - s E >= 0, E = v(++) + v(--) -
     v(+-) - v(-+).  On a closed walk of L traversals, an odd number with
     s = -1, the s x_u x_v multiply to -1 at each atom and so sum to at most
     L - 2: y is s on the ++ and -- rows of each traversal, -s on its +- and
@@ -550,24 +570,25 @@ def _proper_refutation(cs: ConstraintSystem) -> dict[int, int] | None:
     et al., PRA 88, 022118, 2013) when b^T y = 2 - cost > 0.  Dijkstra over
     (vertex, parity), bounded at cost 2, finds the cheapest odd walk through
     a start vertex of the pair graph's 2-core, else deletes the start."""
-    pairs: dict[int, dict[int, tuple]] = {}  # mask -> {want: (row, value)}
+    pairs: dict[int, dict[int, tuple]] = {}  # mask -> {want: (row, n, d)}
     for r, (event, value) in enumerate(cs.rows):
-        if value.numerator < 0:
+        n, d = value.as_integer_ratio()
+        if n < 0:
             return {r: -1}
-        if value.numerator > value.denominator:
-            return {r: 1, cs._normalization(): -1}
+        if n > d:
+            return {r: 1, norm: -1}
         piece = event.cylinder
         if piece is not None and piece[0].bit_count() == 2:
-            pairs.setdefault(piece[0], {}).setdefault(piece[1], (r, value))
+            pairs.setdefault(piece[0], {}).setdefault(piece[1], (r, n, d))
     full = [(mask, rows) for mask, rows in pairs.items() if len(rows) == 4]
     if len(full) < 3:
         return None
-    den = lcm(*[v.denominator for _, rows in full for _, v in rows.values()])
+    den = lcm(*[d for _, rows in full for _, _, d in rows.values()])
     graph: dict[int, dict[int, tuple[int, int]]] = {}  # u -> {v: (E, mask)}
     for mask, got in full:
         e = total = 0
-        for want, (_, value) in got.items():
-            num = den // value.denominator * value.numerator
+        for want, (_, n, d) in got.items():
+            num = den // d * n
             e, total = e + (num if want in (0, mask) else -num), total + num
         if total == den:
             u = mask & -mask
@@ -588,12 +609,11 @@ def _proper_refutation(cs: ConstraintSystem) -> dict[int, int] | None:
         while heap:
             cost, x, odd = heappop(heap)
             if x == start and odd:
-                norm = cs._normalization()
                 y, key = {norm: 2}, (start, 1)
                 while key != (start, 0):
                     x, odd, mask, s = back[key]
                     key, y[norm] = (x, odd), y[norm] - 1
-                    for want, (r, _) in pairs[mask].items():
+                    for want, (r, _, _) in pairs[mask].items():
                         y[r] = y.get(r, 0) + (s if want in (0, mask) else -s)
                 return y
             if cost > best[x, odd]:
@@ -614,8 +634,7 @@ def feasible_proper(cs: ConstraintSystem) -> SignedMeasure | None:
     rows may still admit signed solutions.  A Farkas vector read off the
     rows by _proper_refutation answers None without the simplex.
     """
-    _require_normalization(cs)
-    if _proper_refutation(cs) is not None:
+    if _proper_refutation(cs, _require_normalization(cs)) is not None:
         return None
     lp, feasible = _phase1(cs, split=False)
     if not feasible:

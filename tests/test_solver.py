@@ -855,6 +855,17 @@ def test_adjugate_invariant_holds_on_both_pivot_kinds(monkeypatch):
     assert True in keeps_det and False in keeps_det
 
 
+def _pivot_systems():
+    """The systems of PIVOT_COUNTS by name: the built-ins, the rings 3..14
+    and the three hidden-measure systems."""
+    systems = dict(zip(BUILTINS, _builtin_systems()))
+    for n in range(3, 15):
+        systems[f"cycle-{n}"] = family_system(ncycle(n))
+    for cs in _cycles_and_hidden_systems()[-3:]:
+        systems[f"hidden-{len(cs.space.variables)}"] = cs
+    return systems
+
+
 def _pivot_counts(monkeypatch):
     """Per system of the table below: the pivots of minimize_l1 in each
     step it runs (_phase1, _drop_redundant, _phase2), and of the unsplit
@@ -877,13 +888,8 @@ def _pivot_counts(monkeypatch):
     monkeypatch.setattr(_RevisedLP, "pivot", counted_pivot)
     for name in ("_phase1", "_drop_redundant", "_phase2"):
         monkeypatch.setattr(solver, name, counted(getattr(solver, name)))
-    systems = dict(zip(BUILTINS, _builtin_systems()))
-    for n in range(3, 15):
-        systems[f"cycle-{n}"] = family_system(ncycle(n))
-    for cs in _cycles_and_hidden_systems()[-3:]:
-        systems[f"hidden-{len(cs.space.variables)}"] = cs
     counts = {}
-    for name, cs in systems.items():
+    for name, cs in _pivot_systems().items():
         calls.clear()
         minimize_l1(cs)
         steps = tuple(calls)
@@ -933,6 +939,27 @@ def test_bland_pivot_counts_are_pinned(monkeypatch):
     assert _pivot_counts(monkeypatch) == PIVOT_COUNTS
 
 
+def test_a_pricing_fault_raises_instead_of_pivoting_forever(monkeypatch):
+    """Pricing that names a basic column pivots it in on its own row,
+    which leaves the basis and the objective as they were; the second
+    visit to that basis raises.  The cap on calls only ends a run that
+    would otherwise loop forever."""
+    calls = []
+
+    def stuck(lp, phase1, big_y):
+        calls.append(phase1)
+        if len(calls) > 1000:
+            pytest.fail("the simplex kept pivoting on a faulty pricing")
+        return lp.basis[0]
+
+    monkeypatch.setattr(_RevisedLP, "entering", stuck)
+    start = time.perf_counter()
+    with pytest.raises(ArithmeticError, match="revisited a basis"):
+        minimize_l1(family_system(ncycle(4)))
+    assert time.perf_counter() - start < 1
+    assert calls == [True, True]
+
+
 # the systems of PIVOT_COUNTS whose rows refute a proper solution: a row
 # valued outside [0, 1] (the hidden-measure systems) or a broken n-cycle
 # inequality (the CHSH boxes and the rings; lg-chain is a triangle)
@@ -962,13 +989,8 @@ def test_feasible_proper_pivots_only_where_the_rows_refute_nothing(
         pivot(lp, row, j, col)
 
     monkeypatch.setattr(_RevisedLP, "pivot", counted_pivot)
-    systems = dict(zip(BUILTINS, _builtin_systems()))
-    for n in range(3, 15):
-        systems[f"cycle-{n}"] = family_system(ncycle(n))
-    for cs in _cycles_and_hidden_systems()[-3:]:
-        systems[f"hidden-{len(cs.space.variables)}"] = cs
     counts = {}
-    for name, cs in systems.items():
+    for name, cs in _pivot_systems().items():
         pivots.clear()
         feasible_proper(cs)
         counts[name] = len(pivots)
@@ -980,16 +1002,105 @@ def test_feasible_proper_pivots_only_where_the_rows_refute_nothing(
     assert counts["mz-counterfactual"] and counts["mz-detuned"]
 
 
+def _refutation(cs):
+    """solver._proper_refutation, given the system's normalization row."""
+    return solver._proper_refutation(cs, cs._normalization())
+
+
+# the Farkas vector, row -> y_r, that _proper_refutation reads off each
+# built-in, ring 3..10 and hidden-measure system whose rows it refutes
+PINNED_REFUTATIONS = {
+    "pr-box": {
+        0: 1, 1: -1, 2: -1, 3: 1, 4: 1, 5: -1, 6: -1, 7: 1, 8: 1, 9: -1,
+        10: -1, 11: 1, 12: -1, 13: 1, 14: 1, 15: -1, 16: -2,
+    },
+    "tsirelson": {
+        0: 1, 1: -1, 2: -1, 3: 1, 4: 1, 5: -1, 6: -1, 7: 1, 8: 1, 9: -1,
+        10: -1, 11: 1, 12: -1, 13: 1, 14: 1, 15: -1, 16: -2,
+    },
+    "lg-chain": {
+        0: 1, 1: -1, 2: -1, 3: 1, 4: 1, 5: -1, 6: -1, 7: 1, 8: -1, 9: 1,
+        10: 1, 11: -1, 12: -1,
+    },
+    "cycle-3": {
+        0: 1, 1: -1, 2: -1, 3: 1, 4: 1, 5: -1, 6: -1, 7: 1, 8: -1, 9: 1,
+        10: 1, 11: -1, 12: -1,
+    },
+    "cycle-4": {
+        0: 1, 1: -1, 2: -1, 3: 1, 4: 1, 5: -1, 6: -1, 7: 1, 8: 1, 9: -1,
+        10: -1, 11: 1, 12: -1, 13: 1, 14: 1, 15: -1, 16: -2,
+    },
+    "cycle-5": {
+        0: 1, 1: -1, 2: -1, 3: 1, 4: 1, 5: -1, 6: -1, 7: 1, 8: 1, 9: -1,
+        10: -1, 11: 1, 12: 1, 13: -1, 14: -1, 15: 1, 16: -1, 17: 1, 18: 1,
+        19: -1, 20: -3,
+    },
+    "cycle-6": {
+        0: 1, 1: -1, 2: -1, 3: 1, 4: 1, 5: -1, 6: -1, 7: 1, 8: 1, 9: -1,
+        10: -1, 11: 1, 12: 1, 13: -1, 14: -1, 15: 1, 16: 1, 17: -1, 18: -1,
+        19: 1, 20: -1, 21: 1, 22: 1, 23: -1, 24: -4,
+    },
+    "cycle-7": {
+        0: 1, 1: -1, 2: -1, 3: 1, 4: 1, 5: -1, 6: -1, 7: 1, 8: 1, 9: -1,
+        10: -1, 11: 1, 12: 1, 13: -1, 14: -1, 15: 1, 16: 1, 17: -1, 18: -1,
+        19: 1, 20: 1, 21: -1, 22: -1, 23: 1, 24: -1, 25: 1, 26: 1, 27: -1,
+        28: -5,
+    },
+    "cycle-8": {
+        0: 1, 1: -1, 2: -1, 3: 1, 4: 1, 5: -1, 6: -1, 7: 1, 8: 1, 9: -1,
+        10: -1, 11: 1, 12: 1, 13: -1, 14: -1, 15: 1, 16: 1, 17: -1, 18: -1,
+        19: 1, 20: 1, 21: -1, 22: -1, 23: 1, 24: 1, 25: -1, 26: -1, 27: 1,
+        28: -1, 29: 1, 30: 1, 31: -1, 32: -6,
+    },
+    "cycle-9": {
+        0: 1, 1: -1, 2: -1, 3: 1, 4: 1, 5: -1, 6: -1, 7: 1, 8: 1, 9: -1,
+        10: -1, 11: 1, 12: 1, 13: -1, 14: -1, 15: 1, 16: 1, 17: -1, 18: -1,
+        19: 1, 20: 1, 21: -1, 22: -1, 23: 1, 24: 1, 25: -1, 26: -1, 27: 1,
+        28: 1, 29: -1, 30: -1, 31: 1, 32: -1, 33: 1, 34: 1, 35: -1, 36: -7,
+    },
+    "cycle-10": {
+        0: 1, 1: -1, 2: -1, 3: 1, 4: 1, 5: -1, 6: -1, 7: 1, 8: 1, 9: -1,
+        10: -1, 11: 1, 12: 1, 13: -1, 14: -1, 15: 1, 16: 1, 17: -1, 18: -1,
+        19: 1, 20: 1, 21: -1, 22: -1, 23: 1, 24: 1, 25: -1, 26: -1, 27: 1,
+        28: 1, 29: -1, 30: -1, 31: 1, 32: 1, 33: -1, 34: -1, 35: 1, 36: -1,
+        37: 1, 38: 1, 39: -1, 40: -8,
+    },
+    "hidden-6": {0: 1, 21: -1},
+    "hidden-7": {0: 1, 24: -1},
+    "hidden-8": {0: 1, 23: -1},
+}
+
+
 def test_pinned_refutations_pass_the_brute_force_check():
     """Every Farkas vector read off the rows of the built-ins, the rings
-    3..10 and the hidden-measure systems holds at every atom."""
-    refuted = 0
-    for cs in _builtin_systems() + _cycles_and_hidden_systems():
-        y = solver._proper_refutation(cs)
+    3..10 and the hidden-measure systems holds at every atom, and is the
+    pinned one: pr-box, tsirelson, lg-chain, 8 rings and 3 hidden."""
+    refuted = {}
+    for name, cs in _pivot_systems().items():
+        y = _refutation(cs) if len(cs.space.variables) <= 10 else None
         if y is not None:
             assert farkas_holds(cs, y)
-            refuted += 1
-    assert refuted == 14  # pr-box, tsirelson, lg-chain, 8 rings, 3 hidden
+            refuted[name] = y
+    assert refuted == PINNED_REFUTATIONS
+
+
+def test_feasible_proper_scans_for_normalization_once(monkeypatch):
+    """One scan of the rows finds the normalization row, whether or not
+    the rows refute a proper solution."""
+    scans = []
+    normalization = ConstraintSystem._normalization
+
+    def counted(cs):
+        scans.append(cs)
+        return normalization(cs)
+
+    monkeypatch.setattr(ConstraintSystem, "_normalization", counted)
+    counts = {}
+    for name, cs in _pivot_systems().items():
+        scans.clear()
+        feasible_proper(cs)
+        counts[name] = len(scans)
+    assert counts == dict.fromkeys(PIVOT_COUNTS, 1)
 
 
 def test_a_refuted_ring_is_its_n_cycle_inequality():
@@ -998,7 +1109,7 @@ def test_a_refuted_ring_is_its_n_cycle_inequality():
     joint, and the ring's rows reach n."""
     for n in range(3, 25):
         cs = family_system(ncycle(n))
-        y = solver._proper_refutation(cs)
+        y = _refutation(cs)
         assert y.pop(len(cs.rows) - 1) == 2 - n
         assert sorted(y) == list(range(4 * n))
         assert set(y.values()) == {1, -1}
@@ -1021,7 +1132,7 @@ def test_a_refuted_ring_is_its_n_cycle_inequality():
 def test_every_refutation_is_a_farkas_vector(cs):
     """Whenever the rows give a y, it holds at every atom, and phase 1 of
     the simplex agrees that no proper solution exists."""
-    y = solver._proper_refutation(cs)
+    y = _refutation(cs)
     if y is not None:
         assert farkas_holds(cs, y)
         assert not _phase1(cs, split=False)[1]
