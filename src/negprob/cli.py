@@ -493,6 +493,9 @@ def run(argv: Sequence[str] | None = None) -> int:
     except (OSError, NegprobError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("input error: out of memory", file=sys.stderr)
+        return 1
 
 
 def main() -> None:

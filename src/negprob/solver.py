@@ -23,7 +23,9 @@ deterministic witness.
 Every row is read as disjoint cylinder pieces (mask, want): the one
 measure.cylinder built it from, else one full-mask piece per atom.
 Pricing finds the lowest atom whose price passes a test.  Small systems
-scan all atoms for it.  When a scan would cost far more than a DP over
+scan all atoms for it, each atom's price carried from pivot to pivot as
+the sum of its rows' exact steps (Maros, "Computational Techniques of the
+Simplex Method", 2003).  When a scan would cost far more than a DP over
 the variables, the same atom is found by bucket elimination over the
 pieces (Dechter, "Bucket elimination", 1999) without enumerating the
 atoms.  The search for a redundant row's first nonzero entry tries only
@@ -297,11 +299,12 @@ class _RevisedLP:
 
     Each LP reads its system's rows once, into pieces: each row r's
     disjoint cylinders (r, mask, want), read by _pieces.  Pricing scans
-    gathers, one itemgetter of its rows per atom, or searches elim, a
-    planned _Elimination over the pieces, when the scan's (atom, row)
-    count exceeds SCAN_PER_TABLE times its table count.  gathers then
-    caches column's atoms.  probes pairs first_real's atoms with theirs.
-    Nothing is written onto the system.
+    prices, which _bland_iterate sums with gathers (one itemgetter of its
+    rows per atom) and moves along atoms_of (each row's atoms, ascending);
+    or it searches elim, a planned _Elimination over the pieces, when the
+    scan's (atom, row) count exceeds SCAN_PER_TABLE times its table count.
+    gathers then caches column's atoms.  probes pairs first_real's atoms
+    with theirs.  Nothing is written onto the system.
     """
 
     def __init__(self, cs: ConstraintSystem, split: bool) -> None:
@@ -322,8 +325,12 @@ class _RevisedLP:
             elim.build_plan()
         else:
             rows_of: list[list[int]] = [[] for _ in range(n)]
+            self.atoms_of: list[list[int]] = [[] for _ in cs.rows]
+            self.prices: list[int] = []  # set by _bland_iterate
             for r, mask, want in self.pieces:
-                for atom in _subsets((n - 1) ^ mask, want):
+                atoms = _subsets((n - 1) ^ mask, want)
+                self.atoms_of[r] += atoms
+                for atom in atoms:
                     rows_of[atom].append(r)
             self.gathers = dict(enumerate(map(_gather, rows_of)))
         self.ncols = 2 * n if split else n
@@ -365,7 +372,8 @@ class _RevisedLP:
         costs the real columns 1 and prices no artificial.  Atom a's price
         w(a) is the sum over its rows of big_y = det * c_B B^-1, the column
         sums of the costed adj rows, against the cost times det: the plus
-        half enters on w > cost, the minus half on w < -cost.
+        half enters on w > cost, the minus half on w < -cost.  The scan
+        reads the prices that _bland_iterate carries.
         """
         cost = 0 if phase1 else self.det
         if self.elim is not None:
@@ -377,15 +385,13 @@ class _RevisedLP:
                 if atom >= 0:
                     return self.n + atom
         else:
-            first_minus = -1
-            for atom, get in self.gathers.items():
-                w = sum(get(big_y))
+            for atom, w in enumerate(self.prices):
                 if w > cost:
                     return atom
-                if w < -cost and first_minus < 0:
-                    first_minus = atom
-            if self.ncols > self.n and first_minus >= 0:
-                return self.n + first_minus
+            if self.ncols > self.n:
+                for atom, w in enumerate(self.prices):
+                    if w < -cost:
+                        return self.n + atom
         if phase1:
             for r, (f, yr) in enumerate(zip(self.flip, big_y)):
                 if f * yr > self.det:
@@ -464,6 +470,11 @@ def _bland_iterate(lp: _RevisedLP, phase1: bool) -> int:
     entering column is costed (e = 1, else 0) gives big_y' =
     (p * big_y - (t - e * det) * a) / det: one more row for _bareiss.
 
+    On the scan, lp.prices holds each w(a) = sum_{r in a} big_y_r, summed
+    when the phase starts and after a pivot with p != det.  With k = t -
+    e * det, a pivot with p == det moves big_y_r by the exact integer
+    k * a_r / det where a_r != 0, so w(a) moves by its rows' steps.
+
     A correct Bland run never raises the objective big_y[-1] / det, nor
     revisits a basis while it stays level, so a pricing or ratio-test
     fault raises ArithmeticError instead of pivoting forever.  A basis is
@@ -473,7 +484,10 @@ def _bland_iterate(lp: _RevisedLP, phase1: bool) -> int:
     costed = [col >= lp.ncols or not phase1 for col in lp.basis]
     big_y = [sum(ys) for ys in zip(*compress(lp.adj, costed))]
     level: set[tuple[int, ...]] = set()  # bases met at the level objective
+    scan, fresh = lp.elim is None, True
     while True:
+        if scan and fresh:
+            lp.prices = [sum(get(big_y)) for get in lp.gathers.values()]
         enter = lp.entering(phase1, big_y)
         if enter < 0:
             return big_y[-1]
@@ -493,9 +507,17 @@ def _bland_iterate(lp: _RevisedLP, phase1: bool) -> int:
         a, det, p = lp.adj[leave], lp.det, col[leave]
         t = sum(compress(col, costed))
         e = costed[leave] = enter >= lp.ncols or not phase1
+        k = t - e * det
         old = big_y[-1] * p  # objectives over det, then p: cross-multiplied
         lp.pivot(leave, enter, col)
-        _bareiss([(big_y, t - e * det)], a, p, det)
+        _bareiss([(big_y, k)], a, p, det)
+        fresh = p != det
+        if scan and not fresh and k:
+            prices = lp.prices
+            for ar, atoms in compress(zip(a, lp.atoms_of), a):
+                step = k * ar // det
+                for atom in atoms:
+                    prices[atom] -= step
         new = big_y[-1] * det
         if new > old:
             raise ArithmeticError("simplex pivot raised the objective")

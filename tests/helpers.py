@@ -12,8 +12,11 @@ from negprob import (
     Context,
     ContextFamily,
     ContradictoryRows,
+    SignedMeasure,
     assemble,
     build_space,
+    cylinder,
+    event_mass,
     mach_zehnder_case,
 )
 
@@ -187,6 +190,34 @@ def farkas_holds(cs: ConstraintSystem, y: dict[int, int]) -> bool:
         sum(c for atoms, c in members if a in atoms) <= 0
         for a in range(cs.space.atom_count)
     )
+
+
+def wide_system(n: int) -> tuple[ConstraintSystem, SignedMeasure]:
+    """The wide system on n >= 4 variables V0..V{n-1}, and the hidden
+    measure its values are read off.  Its 3n rows are distinct random
+    partial assignments of one to three variables, then normalization.
+    The hidden signed measure sits on 4n random atoms with masses
+    randint(-3, 6) / 7, divided by their total; everything is drawn from
+    random.Random(n), so the system is fixed by n."""
+    rng = random.Random(n)
+    space = build_space(tuple(f"V{k}" for k in range(n)))
+    atoms = rng.sample(range(space.atom_count), 4 * n)
+    total = 0
+    while not total:  # a zero total is drawn again
+        masses = [Fraction(rng.randint(-3, 6), 7) for _ in atoms]
+        total = sum(masses)
+    hidden = SignedMeasure.from_sparse(
+        space, {a: m / total for a, m in zip(atoms, masses)}
+    )
+    partials: dict[frozenset, dict[str, int]] = {}
+    while len(partials) < 3 * n:
+        names = rng.sample(space.variables, rng.randint(1, 3))
+        partial = {v: rng.choice((1, -1)) for v in names}
+        partials.setdefault(frozenset(partial.items()), partial)
+    rows = [
+        (p, event_mass(hidden, cylinder(space, p))) for p in partials.values()
+    ]
+    return assemble(space, rows), hidden
 
 
 def random_ring(rng: random.Random, n: int) -> ContextFamily:

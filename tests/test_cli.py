@@ -17,6 +17,7 @@ import negprob
 import negprob.cli
 import negprob.contextuality
 import negprob.measure
+import negprob.scenarios
 import negprob.solver
 from negprob import (
     ScenarioFormatError,
@@ -556,6 +557,25 @@ def test_deeply_nested_file_is_an_input_error(tmp_path, capsys):
     assert len(err.splitlines()) == 1
     assert err.startswith("input error:")
     assert "Traceback" not in err
+
+
+def test_running_out_of_memory_is_an_input_error(
+    tmp_path, monkeypatch, capsys
+):
+    """A document too large for memory, such as one context over 20
+    variables, ends in one worded line and exit code 1, not a traceback."""
+    path = family_file(tmp_path, "ring.json", ncycle(4))
+
+    def exhausted(family):
+        raise MemoryError
+
+    monkeypatch.setattr(negprob.scenarios, "family_system", exhausted)
+    for command in ("solve", "viable"):
+        assert run([command, path]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("input error:")
+        assert "Traceback" not in err
 
 
 def test_long_variable_list_is_refused_at_once(tmp_path):

@@ -64,6 +64,7 @@ from helpers import (
     ncycle,
     random_ring,
     random_small_system,
+    wide_system,
 )
 
 XY = build_space(("X", "Y"))
@@ -739,6 +740,19 @@ def _hidden_system(rng, nvars, plain=False):
     return cs
 
 
+def test_wide_system_is_read_off_its_hidden_measure():
+    """The wide system on n variables has 3n distinct cylinder rows and
+    normalization, and its hidden measure is a member at its own norm."""
+    for n in (4, 8, 10, 12):
+        cs, hidden = wide_system(n)
+        assert len(cs.rows) == 3 * n + 1
+        assert cs._normalization() == 3 * n
+        assert all(event.cylinder for event, _ in cs.rows)
+        assert hidden.total() == 1 and len(hidden.support) <= 4 * n
+        assert verify_member(cs, hidden, l1_norm(hidden))
+    assert wide_system(10)[0] == wide_system(10)[0]
+
+
 def test_rank_from_probes_matches_independent_row_reduction():
     """On n-cycles and on systems read off a hidden measure, the rows
     dropped as redundant are found by probing far fewer atoms than the
@@ -832,6 +846,34 @@ def test_carried_prices_are_the_prices(monkeypatch):
                 minimize_l1(cs)
                 feasible_proper(cs)
     assert phases == {True, False}
+
+
+def test_carried_atom_prices_are_the_prices(monkeypatch):
+    """On the scan, the atom prices _bland_iterate keeps on the LP equal, at
+    every pricing of both phases, each atom's rows' prices summed afresh.
+    Between two pricings of one phase, a pivot that keeps det moves the
+    same list in place and any other pivot re-sums it; both occur."""
+    entering = _RevisedLP.entering
+    seen, kinds = {}, set()  # (lp, phase1) -> its prices and their copy
+
+    def checked_entering(lp, phase1, big_y):
+        prices = lp.prices
+        assert prices == [sum(get(big_y)) for get in lp.gathers.values()]
+        last = seen.get((lp, phase1))
+        if last is not None and last[0] is not prices:
+            kinds.add("re-summed")
+        elif last is not None and last[1] != prices:
+            kinds.add("moved in place")
+        seen[lp, phase1] = prices, list(prices)
+        return entering(lp, phase1, big_y)
+
+    monkeypatch.setattr(_RevisedLP, "entering", checked_entering)
+    for cs in _builtin_systems() + _cycles_and_hidden_systems():
+        with _priced(cs, 10**9):
+            minimize_l1(cs)
+            feasible_proper(cs)
+    assert {phase1 for _, phase1 in seen} == {True, False}
+    assert kinds == {"re-summed", "moved in place"}
 
 
 def test_adjugate_invariant_holds_on_both_pivot_kinds(monkeypatch):
