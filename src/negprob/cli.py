@@ -32,7 +32,6 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from functools import lru_cache, partial
 from typing import Mapping, Sequence
 
 from .contextuality import (
@@ -67,6 +66,10 @@ from .solver import (
     minimize_l1,
 )
 
+_ZERO = Fraction(0)  # every atom a context document leaves out
+_LEAF = {str: json.encoder.encode_basestring_ascii, int: int.__repr__,
+         bool: ["false", "true"].__getitem__, type(None): lambda _: "null"}
+
 def parse_rational(text: object, parse=as_fraction) -> Fraction:
     """parse, as_fraction by default, of a JSON value that must be a string."""
     if not isinstance(text, str):
@@ -93,7 +96,7 @@ def _context_from_data(entry: object, index: int, read) -> Context:
     if not isinstance(distribution, dict):
         raise ScenarioFormatError(f"{where}.distribution must be an object")
     space = build_space(variables)
-    mass = [Fraction(0)] * space.atom_count
+    mass = [_ZERO] * space.atom_count
     try:
         for key, raw in distribution.items():
             mass[space.atom_from_label(key)] = read(raw)
@@ -104,8 +107,15 @@ def _context_from_data(entry: object, index: int, read) -> Context:
 
 def scenario_from_data(data: object, label: str) -> ScenarioBundle:
     """Validate a decoded scenario document and build its bundle."""
-    # each distinct literal string of the document is parsed once
-    read = partial(parse_rational, parse=lru_cache(maxsize=None)(as_fraction))
+    literals: dict[str, Fraction] = {}
+
+    def read(raw: object) -> Fraction:
+        """The document's literal memo: each distinct string is parsed once,
+        by as_fraction as read at call time; any other value is refused."""
+        if isinstance(raw, str) and raw in literals:
+            return literals[raw]
+        return literals.setdefault(raw, parse_rational(raw, as_fraction))
+
     if not isinstance(data, dict):
         raise ScenarioFormatError("scenario document must be a JSON object")
     variables = data.get("variables")  # optional in a builtin document
@@ -270,9 +280,28 @@ def _render_table(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_text(value: object, indent: str = "\n") -> str:
+    """json.dumps(value, indent=2) of a report: _LEAF writes each leaf."""
+    if type(value) in _LEAF:
+        return _LEAF[type(value)](value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        ends, items = "{}", [
+            _LEAF[str](k) + ": " + _json_text(v, inner)
+            for k, v in value.items()
+        ]
+    elif isinstance(value, (list, tuple)):
+        ends, items = "[]", [_json_text(v, inner) for v in value]
+    else:  # a float or a subclass, which reports do not hold
+        return json.dumps(value)
+    return ends if not items else (
+        ends[0] + inner + ("," + inner).join(items) + indent + ends[1])
+
+
 def _render(report: dict, fmt: str) -> str:
+    """The report as a table, or as json.dumps(report, indent=2) writes it."""
     if fmt == "json":
-        return json.dumps(report, indent=2) + "\n"
+        return _json_text(report) + "\n"
     return _render_table(report)
 
 

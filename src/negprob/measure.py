@@ -47,6 +47,7 @@ _LITERAL = re.compile(r"([+-]?\d+)(?:/([1-9]\d*))?", re.ASCII)
 # Longer literals are refused before any digit is read; the goldens, the
 # built-ins and the benchmark's generated files use at most 9 characters.
 RATIONAL_MAX_CHARS = 100
+_SIGNS, _BITS = str.maketrans("10", "+-"), str.maketrans("+-", "10")
 
 
 def as_fraction(value: object) -> Fraction:
@@ -159,13 +160,12 @@ class SampleSpace(_Record):
         return +1 if atom >> self.position(name) & 1 else -1
 
     def atom_label(self, atom: int) -> str:
-        """Atom as a +/- string, character i giving variable i's sign."""
-        return "".join(
-            "+" if atom >> i & 1 else "-" for i in range(len(self.variables))
-        )
+        """Atom as a +/- string: its low bits in binary, reversed, 1 as +."""
+        k = len(self.variables)
+        return format(atom & ((1 << k) - 1), f"0{k}b")[::-1].translate(_SIGNS)
 
     def atom_from_label(self, label: str) -> int:
-        """Inverse of :meth:`atom_label`: the atom a +/- string spells."""
+        """Inverse of :meth:`atom_label`: a +/- string read in binary."""
         if (
             not isinstance(label, str)
             or len(label) != len(self.variables)
@@ -175,7 +175,7 @@ class SampleSpace(_Record):
                 f"label {label!r} must spell one +/- per variable "
                 f"in order {self.variables}"
             )
-        return sum(1 << i for i, ch in enumerate(label) if ch == "+")
+        return int(label[::-1].translate(_BITS), 2)
 
     def atoms(self) -> range:
         return range(self.atom_count)
@@ -410,7 +410,8 @@ class Context(_Record):
             raise ImproperDistribution(
                 f"expected {space.atom_count} masses, got {len(distribution)}"
             )
-        dense = tuple([as_fraction(m) for m in distribution])
+        dense = tuple([m if type(m) is Fraction else as_fraction(m)
+                       for m in distribution])  # a Fraction needs no coercion
         violations, units = _kolmogorov(space, list(enumerate(dense)))
         if violations:
             raise ImproperDistribution(

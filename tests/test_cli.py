@@ -750,6 +750,21 @@ def test_literals_read_once_per_document_keep_every_refusal(
         assert (captured.out, captured.err) == ("", err + "\n")
 
 
+@pytest.mark.parametrize("raw", [["1/2"], {"n": "1/2"}])
+@pytest.mark.parametrize("command", ["solve", "viable", "bias"])
+def test_an_unhashable_context_literal_is_refused(
+    tmp_path, capsys, command, raw
+):
+    """A list or object where a context mass belongs is refused as any
+    other value that is not a string: it never reaches the literal memo,
+    which could not hash it."""
+    doc = {"variables": ["X"], "contexts": _x_contexts({"+": raw, "-": "1/2"})}
+    assert run([command, write_json(tmp_path, "doc.json", doc)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == NOT_A_LITERAL + repr(raw) + "\n"
+
+
 def test_a_repeated_literal_is_parsed_once(tmp_path, monkeypatch):
     parsed = []
     as_fraction = negprob.cli.as_fraction
@@ -767,6 +782,37 @@ def test_a_repeated_literal_is_parsed_once(tmp_path, monkeypatch):
     }
     assert run(["solve", write_json(tmp_path, "doc.json", doc)]) == 0
     assert parsed == ["1/2", " 1/2"]
+
+
+# -- the JSON report ----------------------------------------------------------
+
+_JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(2 ** 200), max_value=2 ** 200)
+    | st.text()
+    | st.text(st.characters(max_codepoint=0x1F))
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+def test_json_report_equals_the_stdlib_indent(value):
+    """The C-leaf renderer writes what json.dumps(value, indent=2) writes,
+    byte for byte: non-ASCII and control characters, big and negative
+    ints, bools, None and empty containers, at any depth."""
+    assert negprob.cli._json_text(value) == json.dumps(value, indent=2)
+    if isinstance(value, dict):
+        text = negprob.cli._render(value, "json")
+        assert text == json.dumps(value, indent=2) + "\n"
 
 
 # -- the bias-first verdict equals the simplex route --------------------------

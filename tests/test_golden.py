@@ -38,7 +38,7 @@ from negprob import (
     minimize_l1,
     rank_nullity,
 )
-from negprob import solver
+from negprob import cli, solver
 from negprob.cli import run
 from negprob.scenarios import builtin_bundle
 
@@ -190,6 +190,20 @@ def test_cli_output_matches_golden(key):
     assert got["exit"] == expected["exit"]
     assert got["stdout"].encode("utf-8") == expected["stdout"].encode("utf-8")
     assert got["stderr"] == expected["stderr"]
+
+
+def test_golden_json_reports_render_as_the_stdlib_does():
+    """Every golden JSON report, read back, renders to its golden bytes
+    both through cli._render and through json.dumps(report, indent=2)."""
+    rendered = 0
+    for key, expected in CLI_GOLDEN.items():
+        if not key.endswith("--format json") or not expected["stdout"]:
+            continue
+        report = json.loads(expected["stdout"])
+        stdlib = json.dumps(report, indent=2) + "\n"
+        assert cli._render(report, "json") == stdlib == expected["stdout"]
+        rendered += 1
+    assert rendered == 27
 
 
 @pytest.mark.parametrize("n", range(3, 15))

@@ -106,6 +106,38 @@ def test_atom_labels_first_variable_least_significant():
             space.atom_from_label(bad)
 
 
+def _bit_loop_label(k, atom):
+    """atom_label as the per-bit loop wrote it before it read the binary."""
+    return "".join("+" if atom >> i & 1 else "-" for i in range(k))
+
+
+def test_atom_labels_equal_the_bit_loop():
+    """The binary-string codec gives the per-bit loop's label for every
+    atom up to 12 variables, and for negative and out-of-range ints."""
+    for k in range(1, 13):
+        space = build_space(tuple(f"v{i}" for i in range(k)))
+        for atom in space.atoms():
+            label = space.atom_label(atom)
+            assert label == _bit_loop_label(k, atom)
+            assert space.atom_from_label(label) == atom
+        for atom in (-1, -5, 2 ** k, 2 ** k + 3):
+            assert space.atom_label(atom) == _bit_loop_label(k, atom)
+
+
+@pytest.mark.parametrize(
+    "k, bad",
+    [(2, bad) for bad in ("+ -", "+x", "++-", "", 1, None)] + [(3, "+ -")],
+)
+def test_atom_from_label_refusals_keep_their_message(k, bad):
+    space = build_space(tuple(f"v{i}" for i in range(k)))
+    message = (
+        f"label {bad!r} must spell one +/- per variable "
+        f"in order {space.variables}"
+    )
+    with pytest.raises(InvalidAssignment, match=re.escape(message) + "$"):
+        space.atom_from_label(bad)
+
+
 # -- events ----------------------------------------------------------------
 
 
